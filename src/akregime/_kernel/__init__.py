@@ -1,19 +1,10 @@
-"""Kleshchev kernel selection: compiled extension if built, else pure Python.
-
-Both implementations expose `kleshchev_verdicts(e, classes, shifts, mps)`
-and `good_node(e, classes, shifts, mp, residue)` with identical semantics;
-`BACKEND` records which one is active.
-"""
+"""Kleshchev kernel: `kleshchev_verdicts(e, classes, shifts, mps)` and
+`good_node(e, classes, shifts, mp, residue)` on raw data.  `BACKEND` names
+the implementation that runs."""
 
 from . import pykernel
 
-try:
-    from . import _ckernel as _impl
+BACKEND = "python"
 
-    BACKEND = "c"
-except ImportError:
-    _impl = pykernel
-    BACKEND = "python"
-
-kleshchev_verdicts = _impl.kleshchev_verdicts
-good_node = _impl.good_node
+kleshchev_verdicts = pykernel.kleshchev_verdicts
+good_node = pykernel.good_node

@@ -1,17 +1,14 @@
-"""Pure-Python Kleshchev kernel.
+"""Kleshchev kernel.
 
-This is the fallback twin of the compiled kernel in _ckernel.pyx; the two
-must implement the identical algorithm and return identical values.  The
-kernel works on raw data (order e, class/shift tuples, multipartitions as
-tuples of tuples) so it can be compiled without touching the typed API
-layer in `simples`.
+The kernel works on raw data (order e, class/shift tuples, multipartitions
+as tuples of tuples) so it stays independent of the typed API layer in
+`simples`.
 
 Good-node rule, for a fixed residue: list the removable and addable nodes
 of that residue in the "below" order (component, then row; within one
 residue all such nodes have distinct (component, row) when q != 1).  A
-removable node x is normal when for every addable node x' below x there are
-strictly more removable than addable nodes of the residue strictly between
-x and x'.  The good node is the highest normal one.
+removable node opens a bracket and an addable node closes the nearest open
+one; the good node is the first removable node left open.
 """
 
 REMOVABLE = 0
@@ -51,26 +48,13 @@ def _residue_nodes(e, classes, shifts, mp):
 
 def _good_index(nodes):
     """Index of the good node in a below-ordered residue group, or -1."""
-    size = len(nodes)
-    for x in range(size):
-        if nodes[x][0] != REMOVABLE:
-            continue
-        normal = True
-        for xp in range(x + 1, size):
-            if nodes[xp][0] != ADDABLE:
-                continue
-            rem = add = 0
-            for y in range(x + 1, xp):
-                if nodes[y][0] == REMOVABLE:
-                    rem += 1
-                else:
-                    add += 1
-            if rem <= add:
-                normal = False
-                break
-        if normal:
-            return x
-    return -1
+    open_removables = []
+    for idx, node in enumerate(nodes):
+        if node[0] == REMOVABLE:
+            open_removables.append(idx)
+        elif open_removables:
+            open_removables.pop()
+    return open_removables[0] if open_removables else -1
 
 
 def good_node(e, classes, shifts, mp, residue):
@@ -95,24 +79,32 @@ def _remove(mp, k, r):
 
 
 def _verdict(e, classes, shifts, mp, memo):
-    cached = memo.get(mp)
-    if cached is not None:
-        return cached
-    if all(not component for component in mp):
-        memo[mp] = True
-        return True
-    groups, removable_residues = _residue_nodes(e, classes, shifts, mp)
-    result = False
-    for res in removable_residues:
-        nodes = groups[res]
-        idx = _good_index(nodes)
-        if idx < 0:
-            continue
-        _, k, r, _ = nodes[idx]
-        if _verdict(e, classes, shifts, _remove(mp, k, r), memo):
+    # The Kleshchev labels are the crystal component of the empty
+    # multipartition, and removing a good node is a crystal edge, so it
+    # never leaves or enters that component: a label is Kleshchev exactly
+    # when any one good-node descent reaches the empty multipartition.
+    chain = []
+    while True:
+        result = memo.get(mp)
+        if result is not None:
+            break
+        if not any(mp):
             result = True
             break
-    memo[mp] = result
+        chain.append(mp)
+        groups, removable_residues = _residue_nodes(e, classes, shifts, mp)
+        for res in removable_residues:
+            nodes = groups[res]
+            idx = _good_index(nodes)
+            if idx >= 0:
+                _, k, r, _ = nodes[idx]
+                mp = _remove(mp, k, r)
+                break
+        else:
+            result = False
+            break
+    for label in chain:
+        memo[label] = result
     return result
 
 

@@ -241,6 +241,9 @@ def _cmd_audit(args, out) -> int:
     return 0 if total == expected else 2
 
 
+_GRID_MINIMA = {"m": 1, "n": 1, "e": 0}
+
+
 def _parse_grid(text: str) -> oracle.SweepGrid:
     """Grid override `m=1,2;n=2,3;e=0,1,2` (e omitted: 0..2n+1 per n)."""
     fields = {}
@@ -248,12 +251,16 @@ def _parse_grid(text: str) -> oracle.SweepGrid:
         if "=" not in chunk:
             raise SchemeParseError(f"bad grid chunk {chunk!r}")
         key, value = chunk.split("=", 1)
-        if key not in ("m", "n", "e"):
+        if key not in _GRID_MINIMA:
             raise SchemeParseError(f"unknown grid key {key!r}")
         try:
             fields[key] = tuple(int(v) for v in value.split(","))
         except ValueError:
             raise SchemeParseError(f"bad grid values {value!r}") from None
+        if min(fields[key]) < _GRID_MINIMA[key]:
+            raise SchemeParseError(
+                f"grid key {key!r} takes values >= {_GRID_MINIMA[key]}: {value!r}"
+            )
     grid = oracle.SweepGrid()
     return oracle.SweepGrid(
         m_values=fields.get("m", grid.m_values),

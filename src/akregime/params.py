@@ -41,8 +41,10 @@ class ParamScheme:
             raise ValueError("classes and shifts must both have length m >= 1")
         if self.e < 0:
             raise ValueError("e must be >= 0 (0 encodes infinite order)")
-        if not all(isinstance(c, int) for c in self.classes) or not all(
-            isinstance(s, int) for s in self.shifts
+        # bool is an int subclass, but True/False are not labels or shifts.
+        if any(
+            isinstance(x, bool) or not isinstance(x, int)
+            for x in (*self.classes, *self.shifts)
         ):
             raise ValueError("class labels and shifts must be integers")
         if self.e > 0:

@@ -3,9 +3,9 @@
 For q != 1 the nonzero simple quotients D^lambda are indexed by Kleshchev
 multipartitions (reachable from the empty multipartition by good-node
 additions); for q = 1 they are the multipartitions with lambda^(s) empty for
-every pair s < t with u_s = u_t.  Verdicts are computed by the selected
-kernel (compiled or pure Python); witness paths are reconstructed here by
-replaying good-node removals against kernel verdicts.
+every pair s < t with u_s = u_t.  Verdicts are computed by the kernel in
+`_kernel`; witness paths are reconstructed here by replaying good-node
+removals against kernel verdicts.
 """
 
 from dataclasses import dataclass

@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from akregime.cli import format_matrix, format_multipartition, run
 
 
@@ -143,9 +145,16 @@ def test_kappa_m_mismatch_exit_code():
     assert status == 1
 
 
-def test_bad_grid_exit_code():
-    status, _ = invoke("sweep", "--grid", "m=2;q=zzz")
+@pytest.mark.parametrize(
+    "grid,key",
+    [("m=2;q=zzz", "q"), ("m=0;n=2", "m"), ("m=1;n=-1", "n"), ("e=-1", "e")],
+    ids=["unknown-key", "m-zero", "n-negative", "e-negative"],
+)
+def test_bad_grid_exit_code(grid, key, capsys):
+    status, out = invoke("sweep", "--grid", grid)
     assert status == 1
+    assert out == ""
+    assert f"{key!r}" in capsys.readouterr().err
 
 
 def test_block_structure_outside_regime_exit_code():

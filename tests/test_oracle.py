@@ -1,3 +1,4 @@
+from akregime import _kernel
 from akregime.combinatorics import enumerate_multipartitions
 from akregime.oracle import (
     ALMOST_SEMISIMPLE,
@@ -43,16 +44,28 @@ def test_oracle_agrees_with_fast_path_on_schemes():
         (ParamScheme(m=1, e=3, classes=(0,), shifts=(0,)), 4),
     ]
     for scheme, n in schemes:
-        for size in range(n + 1):
-            for mp in enumerate_multipartitions(scheme.m, size):
-                assert oracle_kleshchev(scheme, mp) == is_kleshchev(scheme, mp).is_kleshchev
+        # One bulk call over every size shares one memo, so later labels'
+        # descents end on memo entries that earlier labels wrote.
+        labels = [mp for size in range(n + 1) for mp in enumerate_multipartitions(scheme.m, size)]
+        bulk = _kernel.kleshchev_verdicts(scheme.e, scheme.classes, scheme.shifts, labels)
+        for mp, verdict in zip(labels, bulk, strict=True):
+            expected = oracle_kleshchev(scheme, mp)
+            assert verdict == expected, (scheme, mp)
+            assert is_kleshchev(scheme, mp).is_kleshchev == expected, (scheme, mp)
 
 
 def test_oracle_good_node_agrees():
-    for scheme, n in [(REGIME_M2, 3), (ParamScheme(m=2, e=4, classes=(0, 0), shifts=(0, 1)), 3)]:
+    schemes = [
+        (REGIME_M2, 3),
+        (ParamScheme(m=2, e=4, classes=(0, 0), shifts=(0, 1)), 3),
+        (ParamScheme(m=3, e=0, classes=(0, 0, 0), shifts=(0, 1, 3)), 3),
+        (ParamScheme(m=3, e=5, classes=(0, 0, 1), shifts=(0, 2, 0)), 3),
+        (ParamScheme(m=3, e=2, classes=(0, 0, 0), shifts=(0, 1, 1)), 3),
+    ]
+    for scheme, n in schemes:
         for mp in enumerate_multipartitions(scheme.m, n):
             for cls in set(scheme.classes):
-                exps = range(scheme.e) if scheme.e else range(-n, n + 1)
+                exps = range(scheme.e) if scheme.e else range(-n, n + max(scheme.shifts) + 1)
                 for exp in exps:
                     mine = oracle_good_node(scheme, mp, (cls, exp))
                     fast = good_node(scheme, mp, (cls, exp))

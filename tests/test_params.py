@@ -117,6 +117,15 @@ def test_shifts_reduced_mod_e():
     assert q_is_one.shifts == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "classes,shifts",
+    [((True, 0), (0, 1)), ((0, 0), (0, False)), ((0, 0), (0, 1.0)), ((0, "1"), (0, 1))],
+)
+def test_scheme_rejects_non_integer_labels_and_shifts(classes, shifts):
+    with pytest.raises(ValueError):
+        ParamScheme(m=2, e=0, classes=classes, shifts=shifts)
+
+
 # --- kappa frontend ---------------------------------------------------------
 
 def test_scheme_from_kappa_m1():

@@ -1,5 +1,6 @@
 import pytest
 
+from akregime import _kernel
 from akregime.combinatorics import (
     enumerate_multipartitions,
     mp_size,
@@ -33,6 +34,16 @@ def test_good_node_vacuously_normal():
 def test_good_node_on_empty():
     for exp in range(-2, 3):
         assert good_node(REGIME_M2, ((), ()), Residue(0, exp)) is None
+
+
+def test_long_labels_descend_without_recursion():
+    # A 3000-box row or column is far deeper than the interpreter's
+    # recursion limit; the verdict is one loop down the good nodes.
+    long_row, long_column = ((3000,),), ((1,) * 3000,)
+    assert _kernel.kleshchev_verdicts(0, (0,), (0,), [long_row, long_column]) == [True, True]
+    # m = 1: Kleshchev means e-restricted.
+    assert _kernel.kleshchev_verdicts(3001, (0,), (0,), [long_row]) == [True]
+    assert _kernel.kleshchev_verdicts(3000, (0,), (0,), [long_row]) == [False]
 
 
 def test_good_node_rejects_q_one():
