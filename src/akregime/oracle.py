@@ -1,8 +1,10 @@
 """Naive brute-force verifiers, independent of the fast modules.
 
 Everything here is recomputed from the definitions: residues, normal and
-good nodes, Kleshchev recursion (no memoization), the q = 1 criterion,
-content multisets, and the parameter-relation scans.  None of it calls into
+good nodes, the Kleshchev recursion, the q = 1 criterion, content
+multisets, and the parameter-relation scans.  The Kleshchev search tree is
+walked in full for every label (no verdict is memoized); only each label's
+good-node children are computed once per scheme.  None of it calls into
 the kernel, simples or blocks, so agreement between this module and the
 fast path is a genuine two-route check.  Only the multipartition
 enumeration is shared plumbing (it has its own generating-function
@@ -72,11 +74,25 @@ def _strictly_between(y, x, xp) -> bool:
     return _is_below(y, x) and _is_below(xp, y)
 
 
-def oracle_good_node(scheme: ParamScheme, mp: Multipartition, residue):
-    """Good node of the residue, from the definition, or None."""
-    rem = [x for x in _removables(mp) if _residue(scheme, *x) == residue]
-    add = [x for x in _addables(mp) if _residue(scheme, *x) == residue]
-    rem.sort(key=lambda x: (x[0], x[1]))
+def _nodes_by_residue(scheme: ParamScheme, mp: Multipartition):
+    """Removable and addable nodes of mp, each grouped by residue.  Both
+    keep `_removables`/`_addables` order, top to bottom, and the removable
+    residues are keyed in the order first met."""
+    rem: dict = {}
+    add: dict = {}
+    for x in _removables(mp):
+        rem.setdefault(_residue(scheme, *x), []).append(x)
+    for x in _addables(mp):
+        add.setdefault(_residue(scheme, *x), []).append(x)
+    return rem, add
+
+
+def oracle_good_node(scheme: ParamScheme, mp: Multipartition, residue, nodes=None):
+    """Good node of the residue, from the definition, or None.  `nodes` is
+    mp's `_nodes_by_residue`, computed here when not given."""
+    rem_by, add_by = nodes if nodes is not None else _nodes_by_residue(scheme, mp)
+    rem = rem_by.get(residue, ())
+    add = add_by.get(residue, ())
     for x in rem:
         normal = True
         for xp in add:
@@ -100,18 +116,34 @@ def _without(mp, node):
     return mp[: k - 1] + (rows,) + mp[k:]
 
 
-def oracle_kleshchev(scheme: ParamScheme, mp: Multipartition) -> bool:
-    """Plain recursive Kleshchev evaluation, no memoization.  e != 1."""
+def _good_children(scheme: ParamScheme, mp: Multipartition):
+    """mp minus its good node of each removable residue that has one, in
+    first-seen residue order."""
+    nodes = _nodes_by_residue(scheme, mp)
+    children = []
+    for res in nodes[0]:
+        good = oracle_good_node(scheme, mp, res, nodes)
+        if good is not None:
+            children.append(_without(mp, good))
+    return children
+
+
+def oracle_kleshchev(scheme: ParamScheme, mp: Multipartition, children=None) -> bool:
+    """Plain recursive Kleshchev evaluation.  e != 1.
+
+    The search tree is walked in full: no verdict is memoized.  `children`
+    maps a label to its `_good_children` under this scheme; callers that
+    test many labels of one scheme share one dict, so each label's good
+    nodes are found once."""
     if all(not part for part in mp):
         return True
-    seen = set()
-    for x in _removables(mp):
-        res = _residue(scheme, *x)
-        if res in seen:
-            continue
-        seen.add(res)
-        good = oracle_good_node(scheme, mp, res)
-        if good is not None and oracle_kleshchev(scheme, _without(mp, good)):
+    if children is None:
+        children = {}
+    below = children.get(mp)
+    if below is None:
+        below = children[mp] = _good_children(scheme, mp)
+    for child in below:
+        if oracle_kleshchev(scheme, child, children):
             return True
     return False
 
@@ -128,7 +160,8 @@ def oracle_simple_count(scheme: ParamScheme, n: int) -> int:
     mps = enumerate_multipartitions(scheme.m, n)
     if scheme.e == 1:
         return sum(1 for mp in mps if _q1_nonzero(scheme, mp))
-    return sum(1 for mp in mps if oracle_kleshchev(scheme, mp))
+    children: dict = {}
+    return sum(1 for mp in mps if oracle_kleshchev(scheme, mp, children))
 
 
 def oracle_kind(scheme: ParamScheme, n: int) -> str:

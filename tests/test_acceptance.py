@@ -19,7 +19,7 @@ from akregime.bn import (
     verify_parameter_independence,
 )
 from akregime.combinatorics import dim_irrep, enumerate_multipartitions
-from akregime.oracle import ALMOST_SEMISIMPLE, SEMISIMPLE, verify_lemmas
+from akregime.oracle import ALMOST_SEMISIMPLE, SEMISIMPLE, locus_summary, verify_lemmas
 from akregime.params import KappaInput, ParamScheme, derive_r, scheme_from_kappa
 from akregime.simples import ariki_semisimple
 from akregime.structure import (
@@ -30,6 +30,12 @@ from akregime.structure import (
     family_orientation,
 )
 
+DEFAULT_SWEEP_SUMMARY = {
+    "points": 4151,
+    "regime_points": 557,
+    "disagreements": 0,
+    "prediction_mismatches": 0,
+}
 M3_BLOCK = (
     ((), (1, 1, 1), ()),
     ((), (1, 1), (1,)),
@@ -52,7 +58,7 @@ def regime_rows(rows):
     return [row for row in rows if row.fast_kind == ALMOST_SEMISIMPLE]
 
 
-def test_criterion_1_exceptional_block(sweep):
+def test_criterion_1_exceptional_block():
     start = time.perf_counter()
     failures = []
     for e in (0, 5, 6, 7, 11):
@@ -86,6 +92,9 @@ def test_criterion_2_regime_locus(sweep):
         failures.append(f"{len(disagreements)} fast/oracle disagreements")
     if mismatches:
         failures.append(f"{len(mismatches)} characterization mismatches")
+    summary = locus_summary(rows)
+    if summary != DEFAULT_SWEEP_SUMMARY:
+        failures.append(f"default sweep summary {summary} != {DEFAULT_SWEEP_SUMMARY}")
     if elapsed >= 300:
         failures.append(f"sweep runtime {elapsed:.1f}s >= 5min")
     regime_count = len(regime_rows(rows))

@@ -1,7 +1,11 @@
+import pytest
+
 from akregime import _kernel
+from akregime._kernel import pykernel
 from akregime.combinatorics import enumerate_multipartitions
 from akregime.oracle import (
     ALMOST_SEMISIMPLE,
+    OTHER,
     SweepGrid,
     grid_points,
     locus_summary,
@@ -52,6 +56,41 @@ def test_oracle_agrees_with_fast_path_on_schemes():
             expected = oracle_kleshchev(scheme, mp)
             assert verdict == expected, (scheme, mp)
             assert is_kleshchev(scheme, mp).is_kleshchev == expected, (scheme, mp)
+
+
+@pytest.mark.parametrize(
+    "classes, shifts, n", [((0, 0), (0, 1), 4), ((0, 0, 1), (0, 1, 0), 3)]
+)
+@pytest.mark.parametrize("e", [0, 2, 5])
+def test_shared_children_cache_matches_fresh_cache(classes, shifts, n, e):
+    # One dict shared by every label of a scheme must give each label the
+    # verdict a fresh dict gives it, whichever label fills an entry first.
+    m = len(classes)
+    scheme = ParamScheme(m=m, e=e, classes=classes, shifts=shifts)
+    labels = [mp for size in range(n + 1) for mp in enumerate_multipartitions(m, size)]
+    fresh = {mp: oracle_kleshchev(scheme, mp, {}) for mp in labels}
+    for order in (labels, labels[::-1]):
+        shared: dict = {}
+        for mp in order:
+            assert oracle_kleshchev(scheme, mp, shared) == fresh[mp], (scheme, mp)
+    top = enumerate_multipartitions(m, n)
+    assert oracle_simple_count(scheme, n) == sum(fresh[mp] for mp in top)
+    assert 0 < oracle_simple_count(scheme, n) < len(top)
+
+
+def test_oracle_kind_does_not_use_the_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle reached the kernel")
+
+    for module, name in (
+        (_kernel, "kleshchev_verdicts"),
+        (_kernel, "good_node"),
+        (pykernel, "_verdict"),
+        (pykernel, "_good_index"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert oracle_kind(REGIME_M2, 2) == ALMOST_SEMISIMPLE
+    assert oracle_kind(ParamScheme(m=1, e=2, classes=(0,), shifts=(0,)), 4) == OTHER
 
 
 def test_oracle_good_node_agrees():
