@@ -9,66 +9,55 @@ of that residue in the "below" order (component, then row; within one
 residue all such nodes have distinct (component, row) when q != 1).  A
 removable node opens a bracket and an addable node closes the nearest open
 one; the good node is the first removable node left open.
+
+One walk per descent step applies the rule to every residue at once.  It
+takes each component one run of equal rows at a time: a run has one
+addable node, at its top row, then one removable node, at its bottom row,
+so the walk costs one step per run rather than per row.
 """
 
-REMOVABLE = 0
-ADDABLE = 1
 
+def _good_index(e, classes, shifts, mp):
+    """Open removable nodes of `mp` after bracketing all residues together.
 
-def _residue_nodes(e, classes, shifts, mp):
-    """Removable and addable nodes grouped by residue, in below order.
-
-    Returns dict residue -> list of (kind, component, row, column) with kind
-    REMOVABLE/ADDABLE, plus the sorted tuple of residues of removable nodes.
+    Returns dict residue -> list of (component, row), 0-based, in below
+    order; the good node of a residue is the first entry of its list, and
+    a residue without one has an empty list or no entry.
     """
-    groups = {}
-    removable_residues = set()
+    opened = {}
     for k, component in enumerate(mp):
+        cls = classes[k]
+        shift = shifts[k]
         rows = len(component)
-        for r in range(rows + 1):
+        r = 0
+        while True:
             row_len = component[r] if r < rows else 0
-            if r < rows:
-                below = component[r + 1] if r + 1 < rows else 0
-                if row_len > below:
-                    exp = shifts[k] + row_len - (r + 1)
-                    if e > 0:
-                        exp %= e
-                    res = (classes[k], exp)
-                    groups.setdefault(res, []).append((REMOVABLE, k, r, row_len))
-                    removable_residues.add(res)
-            above = component[r - 1] if r >= 1 else None
-            if above is None or above > row_len:
-                exp = shifts[k] + (row_len + 1) - (r + 1)
-                if e > 0:
-                    exp %= e
-                res = (classes[k], exp)
-                groups.setdefault(res, []).append((ADDABLE, k, r, row_len + 1))
-    return groups, sorted(removable_residues)
-
-
-def _good_index(nodes):
-    """Index of the good node in a below-ordered residue group, or -1."""
-    open_removables = []
-    for idx, node in enumerate(nodes):
-        if node[0] == REMOVABLE:
-            open_removables.append(idx)
-        elif open_removables:
-            open_removables.pop()
-    return open_removables[0] if open_removables else -1
+            # The addable node (r, row_len + 1) tops the run.
+            exp = shift + row_len - r
+            if e:
+                exp %= e
+            nodes = opened.get((cls, exp))
+            if nodes:
+                nodes.pop()
+            if r == rows:
+                break
+            r += component.count(row_len)
+            # The removable node (r - 1, row_len) ends the run.
+            exp = shift + row_len - r
+            if e:
+                exp %= e
+            opened.setdefault((cls, exp), []).append((k, r - 1))
+    return opened
 
 
 def good_node(e, classes, shifts, mp, residue):
     """The good node of the given residue, as (component, row, column)
     1-based, or None.  Requires e != 1."""
-    groups, _ = _residue_nodes(e, classes, shifts, mp)
-    nodes = groups.get(tuple(residue))
+    nodes = _good_index(e, classes, shifts, mp).get(tuple(residue))
     if not nodes:
         return None
-    idx = _good_index(nodes)
-    if idx < 0:
-        return None
-    _, k, r, c = nodes[idx]
-    return (k + 1, r + 1, c)
+    k, r = nodes[0]
+    return (k + 1, r + 1, mp[k][r])
 
 
 def _remove(mp, k, r):
@@ -92,17 +81,13 @@ def _verdict(e, classes, shifts, mp, memo):
             result = True
             break
         chain.append(mp)
-        groups, removable_residues = _residue_nodes(e, classes, shifts, mp)
-        for res in removable_residues:
-            nodes = groups[res]
-            idx = _good_index(nodes)
-            if idx >= 0:
-                _, k, r, _ = nodes[idx]
-                mp = _remove(mp, k, r)
-                break
-        else:
+        opened = _good_index(e, classes, shifts, mp)
+        residues = [res for res, nodes in opened.items() if nodes]
+        if not residues:
             result = False
             break
+        k, r = opened[min(residues)][0]
+        mp = _remove(mp, k, r)
     for label in chain:
         memo[label] = result
     return result

@@ -100,6 +100,10 @@ def test_oracle_good_node_agrees():
         (ParamScheme(m=3, e=0, classes=(0, 0, 0), shifts=(0, 1, 3)), 3),
         (ParamScheme(m=3, e=5, classes=(0, 0, 1), shifts=(0, 2, 0)), 3),
         (ParamScheme(m=3, e=2, classes=(0, 0, 0), shifts=(0, 1, 1)), 3),
+        # Runs of three or more equal rows, in several components at once.
+        (ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 2)), 6),
+        (ParamScheme(m=2, e=4, classes=(0, 0), shifts=(0, 1)), 6),
+        (ParamScheme(m=3, e=5, classes=(0, 0, 1), shifts=(0, 2, 0)), 5),
     ]
     for scheme, n in schemes:
         for mp in enumerate_multipartitions(scheme.m, n):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from akregime import _kernel
@@ -5,8 +7,10 @@ from akregime.combinatorics import (
     enumerate_multipartitions,
     mp_size,
     multipartition_count,
+    partitions,
     remove_node,
 )
+from akregime.oracle import SweepGrid, grid_points
 from akregime.params import ParamScheme, Residue, residue_of
 from akregime.simples import (
     ariki_semisimple,
@@ -15,6 +19,7 @@ from akregime.simples import (
     min_order_check,
     simple_count,
 )
+from akregime.structure import _e_restricted
 
 REGIME_M2 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1))
 
@@ -44,6 +49,37 @@ def test_long_labels_descend_without_recursion():
     # m = 1: Kleshchev means e-restricted.
     assert _kernel.kleshchev_verdicts(3001, (0,), (0,), [long_row]) == [True]
     assert _kernel.kleshchev_verdicts(3000, (0,), (0,), [long_row]) == [False]
+
+
+class _RowReads(tuple):
+    """A partition that counts how often its rows are read."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_kernel_matches_e_restricted_on_long_runs():
+    # m = 1: Kleshchev means e-restricted, a closed form that reaches labels
+    # far beyond the oracle.  Long runs of equal rows need the walk to take
+    # each run whole and to close brackets before it opens the run's own.
+    two_runs = ((5,) * 40 + (2,) * 30,)
+    assert _kernel.kleshchev_verdicts(3, (0,), (0,), [two_runs]) == [False]
+    assert _kernel.kleshchev_verdicts(4, (0,), (0,), [two_runs]) == [True]
+    three_runs = ((9,) * 30 + (6,) * 45 + (2,) * 60,)
+    labels = [(p,) for n in range(15) for p in partitions(n)] + [two_runs, three_runs]
+    for e in range(2, 7):
+        expected = [_e_restricted(mp[0], e) for mp in labels]
+        assert _kernel.kleshchev_verdicts(e, (0,), (0,), labels) == expected, e
+    # Walking row by row gives the same brackets (each inner row's removable
+    # is closed by the next row's addable) at a cost per row, not per run:
+    # a column of 1000 equal rows is one run, read once by the walk and
+    # once for the good node's column.
+    column = _RowReads((1,) * 1000)
+    assert _kernel.good_node(0, (0,), (0,), (column,), (0, -999)) == (1, 1000, 1)
+    assert column.reads <= 2
 
 
 def test_good_node_rejects_q_one():
@@ -125,3 +161,20 @@ def test_count_invariant_under_shift_translation():
                 if reference is None:
                     reference = count
                 assert count == reference
+
+
+def test_count_invariant_under_permutation_and_negation():
+    # Permuting the (class, shift) pairs permutes the u_i (Ariki), and
+    # negating the shifts is (q, u) -> (q^-1, u^-1), an isomorphic algebra;
+    # neither changes the number of simple modules.
+    grid = SweepGrid(m_values=(2, 3), n_values=(3,), e_values=tuple(range(6)))
+    for m, n, scheme in grid_points(grid):
+        count, _ = simple_count(scheme, n)
+        negated = tuple(-s for s in scheme.shifts)
+        variants = [ParamScheme(m=m, e=scheme.e, classes=scheme.classes, shifts=negated)]
+        for perm in permutations(range(m)):
+            classes = tuple(scheme.classes[k] for k in perm)
+            shifts = tuple(scheme.shifts[k] for k in perm)
+            variants.append(ParamScheme(m=m, e=scheme.e, classes=classes, shifts=shifts))
+        for variant in variants:
+            assert simple_count(variant, n)[0] == count, (scheme, variant)
