@@ -155,31 +155,39 @@ def regular_representation(algebra: BasicAlgebra) -> list[list[list[int]]]:
 
 def regular_representation_consistent(algebra: BasicAlgebra) -> bool:
     """Certify associativity independently: left multiplication must be an
-    algebra homomorphism, mat(a) @ mat(b) == mat(a * b) for all pairs."""
+    algebra homomorphism, mat(a) @ mat(b) == mat(a * b) for all pairs.
+
+    The matrices come from `regular_representation` and are read once into
+    their nonzero entries (i, j, x), and once more into those entries grouped
+    by column.  For each pair, mat(a) @ mat(b) joins the entries of mat(b)
+    with the columns of mat(a), the sum of coeff * mat(idx) over a * b runs
+    over the entries of each mat(idx), and the two are compared as dicts of
+    their nonzero (i, j) entries; every term of every product counts."""
     dim = algebra.dimension
-    mats = regular_representation(algebra)
-    # Each column of mat(b) has at most one entry, so compose sparsely.
-    cols = [
-        [next(((i, m[i][j]) for i in range(dim) if m[i][j]), None) for j in range(dim)]
-        for m in mats
+    entries = [
+        [(i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
+        for mat in regular_representation(algebra)
     ]
+    columns = []
+    for nonzero in entries:
+        by_column = [[] for _ in range(dim)]
+        for i, k, x in nonzero:
+            by_column[k].append((i, x))
+        columns.append(by_column)
     for a in range(dim):
+        left = columns[a]
         for b in range(dim):
-            product = [[0] * dim for _ in range(dim)]
-            for j in range(dim):
-                hit = cols[b][j]
-                if hit is None:
-                    continue
-                k, coeff = hit
-                for i in range(dim):
-                    product[i][j] = coeff * mats[a][i][k]
-            expected = [[0] * dim for _ in range(dim)]
+            product: dict[tuple[int, int], int] = {}
+            for k, j, x in entries[b]:
+                for i, y in left[k]:
+                    product[i, j] = product.get((i, j), 0) + y * x
+            expected: dict[tuple[int, int], int] = {}
             for idx, coeff in algebra.mult[(a, b)]:
-                row = mats[idx]
-                for i in range(dim):
-                    for j in range(dim):
-                        expected[i][j] += coeff * row[i][j]
-            if product != expected:
+                for i, j, x in entries[idx]:
+                    expected[i, j] = expected.get((i, j), 0) + coeff * x
+            if {key: x for key, x in product.items() if x} != {
+                key: x for key, x in expected.items() if x
+            }:
                 return False
     return True
 

@@ -8,9 +8,14 @@ as [(2),()]-style lists, matrices as semicolon-separated rows).
 Exit codes: 0 success, 1 domain or usage errors (bad witness, q=1 blocks,
 malformed parameter strings), 2 internal consistency failures (fast/oracle
 disagreement, audit mismatch, regular-representation failure).
+
+The argument parser is built once per process, on the first `run`, and
+shared by every later call: parsing keeps no state in it (each call gets a
+fresh namespace, and usage errors print to the `sys.stderr` of the moment).
 """
 
 import argparse
+import functools
 import sys
 
 from . import bn as bn_mod
@@ -280,6 +285,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="akregime",

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -87,6 +89,64 @@ def test_associativity_all_triples(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_regular_representation_is_homomorphism(n):
     assert regular_representation_consistent(build_bn(n))
+
+
+def change_basis(algebra, p, q, c):
+    """The same algebra on the basis with b_p replaced by b_p + c * b_q:
+    an associative table with multi-term, non-unit products."""
+
+    def lift(i):
+        return ((i, 1),) if i != p else ((p, 1), (q, c))
+
+    def lower(combo):
+        coeffs = dict(combo)
+        if p in coeffs:
+            coeffs[q] = coeffs.get(q, 0) - c * coeffs[p]
+        return tuple(sorted((i, x) for i, x in coeffs.items() if x))
+
+    mult = {key: lower(multiply(algebra, lift(key[0]), lift(key[1]))) for key in algebra.mult}
+    return dataclasses.replace(algebra, mult=mult)
+
+
+def seeded_tables(seed, count):
+    """B(1)-B(4) after up to two changes of basis, half of them with one or
+    two products then overwritten by random combinations."""
+    rng = random.Random(seed)
+    coefficients = (-2, -1, 1, 2, 3)
+    for _ in range(count):
+        algebra = build_bn(rng.randint(1, 4))
+        dim = algebra.dimension
+        for _ in range(rng.randint(0, 2)):
+            p, q = rng.sample(range(dim), 2)
+            algebra = change_basis(algebra, p, q, rng.choice(coefficients))
+        if rng.random() < 0.5:
+            mult = dict(algebra.mult)
+            for _ in range(rng.randint(1, 2)):
+                mult[rng.randrange(dim), rng.randrange(dim)] = tuple(
+                    (rng.randrange(dim), rng.choice(coefficients))
+                    for _ in range(rng.randint(0, 3))
+                )
+            algebra = dataclasses.replace(algebra, mult=mult)
+        yield algebra
+
+
+def test_regular_representation_agrees_with_associativity():
+    # e * e = e + 2 xi and xi * e = 0: not associative at (e, e, e).
+    dual = build_bn(1)
+    mult = dict(dual.mult)
+    mult[0, 0] = ((0, 1), (1, 2))
+    mult[1, 0] = ()
+    broken = dataclasses.replace(dual, mult=mult)
+    assert associativity_violations(broken) == [(0, 0, 0)]
+    assert not regular_representation_consistent(broken)
+
+    verdicts = set()
+    for algebra in seeded_tables(7, 120):
+        associative = associativity_violations(algebra) == []
+        assert regular_representation_consistent(algebra) == associative
+        multi_term = any(len(combo) > 1 for combo in algebra.mult.values())
+        verdicts.add((associative, multi_term))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_regular_representation_matrices():

@@ -1,10 +1,15 @@
 """Golden tests for the machine output format and the exit-code contract."""
 
+import contextlib
 import io
+import shlex
+from pathlib import Path
 
 import pytest
 
-from akregime.cli import format_matrix, format_multipartition, run
+from akregime.cli import build_parser, format_matrix, format_multipartition, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def invoke(*argv):
@@ -170,3 +175,85 @@ def test_table_format_runs():
     )
     assert status == 0
     assert "kind: almost_semisimple" in text
+
+
+GOOD_CLASSIFY = (
+    "classify", "--m", "2", "--n", "2",
+    "--scheme", "e=0;class=0,0;shift=0,1", "--format", "machine",
+)
+
+
+def test_shared_parser_keeps_no_state():
+    sequence = [
+        GOOD_CLASSIFY,
+        ("classify", "--m", "2", "--n", "2", "--scheme"),  # --scheme lacks its value
+        ("classify", "--grid", "m=2"),  # --grid exists only on sweep
+        ("sweep", "--grid", "m=0;n=2"),
+        GOOD_CLASSIFY,
+        ("bn-algebra", "--n", "3"),
+    ]
+
+    def outcomes(fresh):
+        # Each step gets its own stderr, so usage written to the stream of
+        # an earlier step shows as a difference.
+        build_parser.cache_clear()
+        seen = []
+        for argv in sequence:
+            if fresh:
+                build_parser.cache_clear()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status, text = invoke(*argv)
+            seen.append((status, text, err.getvalue()))
+        return seen
+
+    shared = outcomes(fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert shared == outcomes(fresh=True)
+    assert [status for status, _, _ in shared] == [0, 1, 1, 1, 0, 0]
+    assert shared[0] == shared[4]
+    assert shared[1][2].startswith("usage: akregime classify")
+    assert "unrecognized arguments: --grid m=2" in shared[2][2]
+    assert "'m'" in shared[3][2]
+
+
+def _shows(shown, lines):
+    """True iff `lines` reads as `shown`, where a `...` line stands for any
+    run of lines, the empty one included."""
+    if not shown:
+        return not lines
+    if shown[0] == "...":
+        return any(_shows(shown[1:], lines[k:]) for k in range(len(lines) + 1))
+    return bool(lines) and lines[0] == shown[0] and _shows(shown[1:], lines[1:])
+
+
+def readme_machine_examples():
+    """(command, lines shown) for each `$ akregime ... --format machine`
+    example in the README."""
+    lines = README.read_text().splitlines()
+    examples = []
+    for pos, line in enumerate(lines):
+        if line.startswith("$ akregime ") and "--format machine" in line:
+            shown = []
+            for follow in lines[pos + 1 :]:
+                if not follow or follow.startswith(("$", "```")):
+                    break
+                shown.append(follow)
+            examples.append((line[2:], shown))
+    return examples
+
+
+def test_readme_machine_examples_match_output():
+    verbs = set()
+    for command, shown in readme_machine_examples():
+        command, _, pipe = command.partition(" | ")
+        argv = shlex.split(command)[1:]
+        status, text = invoke(*argv)
+        assert status == 0, command
+        lines = text.splitlines()
+        if pipe:
+            assert pipe.startswith("head -"), pipe
+            lines = lines[: int(pipe.removeprefix("head -"))]
+        assert _shows(shown, lines), command
+        verbs.add(argv[0])
+    assert verbs == {"classify", "blocks", "block-structure", "bn-algebra", "audit"}
