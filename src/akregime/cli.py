@@ -12,10 +12,16 @@ disagreement, audit mismatch, regular-representation failure).
 The argument parser is built once per process, on the first `run`, and
 shared by every later call: parsing keeps no state in it (each call gets a
 fresh namespace, and usage errors print to the `sys.stderr` of the moment).
+Each verb takes only its own options: the point verbs --m, --n, --scheme,
+--kappa; bn-algebra --n; sweep --grid; all of them --format.
+
+When the reader of stdout goes away (`... | head -1`), `main` exits 1
+without a traceback.
 """
 
 import argparse
 import functools
+import os
 import sys
 
 from . import bn as bn_mod
@@ -295,13 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in _COMMANDS:
         p = sub.add_parser(verb)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--scheme", type=str, default=None)
-        p.add_argument("--kappa", type=str, default=None)
-        p.add_argument("--format", choices=("table", "machine"), default="table")
         if verb == "sweep":
             p.add_argument("--grid", type=str, default=None)
+        elif verb == "bn-algebra":
+            p.add_argument("--n", type=int, default=None)
+        else:
+            p.add_argument("--m", type=int, default=None)
+            p.add_argument("--n", type=int, default=None)
+            p.add_argument("--scheme", type=str, default=None)
+            p.add_argument("--kappa", type=str, default=None)
+        p.add_argument("--format", choices=("table", "machine"), default="table")
     return parser
 
 
@@ -319,7 +328,16 @@ def run(argv, out) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:], sys.stdout))
+    try:
+        status = run(sys.argv[1:], sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the flush at
+        # interpreter exit cannot raise again, and report a failed write.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

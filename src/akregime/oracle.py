@@ -427,14 +427,21 @@ def grid_points(grid: SweepGrid):
 def _predicted_regime(scheme: ParamScheme, n: int) -> bool:
     """The parameter-side characterization of the regime: for m >= 2 a
     unique relation u_j = q^(+-(n-1)) u_i with q != 1, [n]_q! != 0, order
-    infinite or >= 2n-1 and the u_i pairwise distinct; for m = 1, order n
-    or n - 1 (the row of n boxes is then the unique non-restricted
-    partition)."""
+    infinite or >= 2n-1 and the u_i pairwise distinct; for m = 1, n >= 2
+    and order n or n - 1 (the row of n boxes is then the unique
+    non-restricted partition).
+
+    At n = 1 the algebra is commutative and its simple modules are counted
+    by the distinct u_i, whatever q is: for m >= 2 the unique relation
+    (then c = 0, one coincidence u_i = u_j) is the whole condition, and
+    m = 1 is never in the regime."""
     if scheme.m == 1:
-        return scheme.e == n or (scheme.e == n - 1 and scheme.e >= 2)
+        return n >= 2 and (scheme.e == n or (scheme.e == n - 1 and scheme.e >= 2))
     rels = _relations_window(scheme, n)
     if len(rels) != 1 or abs(rels[0][2]) != n - 1:
         return False
+    if n == 1:
+        return True
     if scheme.e == 1:
         return False
     if not (scheme.e == 0 or scheme.e > n):

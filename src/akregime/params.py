@@ -157,7 +157,9 @@ def derive_r(k: KappaInput, witness: tuple[int, int]) -> int:
     signs a and both orientations are searched, each branch determines t
     exactly, and the first solution in (a, t) order with (X - Y) + m*t < 0
     wins, giving r = (Y - X) - m*t.  The result satisfies r > 0 and, for
-    m > 1, m does not divide r.
+    m > 1, m does not divide r: X != Y are residues mod m, so Y - X is not
+    a multiple of m.  For m > 1 the witness must name two distinct
+    components in 1..m.
     """
     m, n = k.m, k.n
     if m == 1:
@@ -167,6 +169,8 @@ def derive_r(k: KappaInput, witness: tuple[int, int]) -> int:
         return c.numerator
 
     i, j = witness
+    if not (1 <= i <= m and 1 <= j <= m and i != j):
+        raise ValueError(f"witness {witness} must name two distinct components in 1..{m}")
     big_i = (m - i + 1) % m
     big_j = (m - j + 1) % m
     kappa_i = k.kappa_entry(big_i)
@@ -186,10 +190,7 @@ def derive_r(k: KappaInput, witness: tuple[int, int]) -> int:
                 solutions.append((a, t, (y - x) - m * t))
     if not solutions:
         raise NoWitnessError("no-witness")
-    solutions.sort()
-    r = solutions[0][2]
-    assert r > 0 and r % m != 0
-    return r
+    return min(solutions)[2]
 
 
 class SchemeParseError(ValueError):

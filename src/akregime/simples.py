@@ -17,6 +17,7 @@ from .combinatorics import (
     enumerate_multipartitions,
     mp_size,
     remove_node,
+    removable_nodes,
 )
 from .params import ParamScheme, Residue, relation_exponents, residue_of
 
@@ -37,16 +38,6 @@ def good_node(scheme: ParamScheme, mp: Multipartition, residue: Residue) -> Node
     return None if raw is None else Node(*raw)
 
 
-def _removable_residues(scheme: ParamScheme, mp: Multipartition) -> list[Residue]:
-    seen = set()
-    for k, component in enumerate(mp, start=1):
-        for r, row_len in enumerate(component, start=1):
-            below = component[r] if r < len(component) else 0
-            if row_len > below:
-                seen.add(residue_of(scheme, Node(k, r, row_len)))
-    return sorted(seen)
-
-
 def is_kleshchev(scheme: ParamScheme, mp: Multipartition) -> KleshchevVerdict:
     """Kleshchev verdict with, on success, a good-node removal path that
     empties the diagram.  Requires q != 1."""
@@ -58,7 +49,7 @@ def is_kleshchev(scheme: ParamScheme, mp: Multipartition) -> KleshchevVerdict:
     path = []
     current = mp
     while mp_size(current) > 0:
-        for residue in _removable_residues(scheme, current):
+        for residue in sorted({residue_of(scheme, x) for x in removable_nodes(current)}):
             raw = _kernel.good_node(*args, current, tuple(residue))
             if raw is None:
                 continue

@@ -4,10 +4,20 @@ A parameter point is almost semisimple when the Hecke algebra has exactly
 |Irrep(W)| - 1 simple modules.  In that regime the non-semisimple block is
 completely rigid: its decomposition matrix is unit-bidiagonal, the Cartan
 matrix is tridiagonal (2,1), and the KZ dimensions are binomial
-coefficients.  classify_regime verifies the parameter-side facts that the
-regime forces (a unique relation u_j = q^(+-(n-1)) u_i, the order bound,
-and the row or column multipartition as the unique non-Kleshchev label)
-and treats any violation as an internal inconsistency, never as data.
+coefficients.
+
+At a point with N - 1 simple modules classify_regime checks the facts the
+regime forces, each once:
+
+    m >= 2   exactly one relation u_j = q^c u_i with i < j and |c| < n,
+             and that one has |c| = n - 1; the row or column of n boxes it
+             forces is the only non-Kleshchev label
+    m = 1    order n, or n - 1 >= 2; the e-restricted count; the row (n)
+             as the only non-Kleshchev label
+
+q != 1, [n]_q! != 0, the order bound 2n - 1 and pairwise distinct u_i all
+follow from the unique relation and are not checked apart.  Any failure
+raises InconsistentRegimeError: an internal inconsistency, never data.
 
 The matrices are block-level data under the declared a-ordering of the
 lambda family; no claim is made about which individual Specht module maps
@@ -26,7 +36,7 @@ from .combinatorics import (
     partitions,
 )
 from .params import KappaInput, ParamScheme, derive_r, relation_exponents
-from .simples import ariki_semisimple, min_order_check, simple_count
+from .simples import simple_count
 
 SEMISIMPLE = "semisimple"
 ALMOST_SEMISIMPLE = "almost_semisimple"
@@ -85,17 +95,6 @@ def non_kleshchev_label(m: int, n: int, witness: tuple[int, int, int]) -> Multip
     return _strip_multipartition(m, shape, i)
 
 
-def _locate_witness(scheme: ParamScheme, n: int) -> list[tuple[int, int, int]]:
-    """All normalized witnesses (i, j, c): i < j, u_j = q^c u_i, |c| = n-1."""
-    found = []
-    for i in range(1, scheme.m + 1):
-        for j in range(i + 1, scheme.m + 1):
-            for c in sorted(relation_exponents(scheme, j, i, n)):
-                if abs(c) == n - 1:
-                    found.append((i, j, c))
-    return found
-
-
 def family_orientation(witness: tuple[int, int, int]) -> tuple[int, int]:
     """The (i, j) ordering with u_j = q^(n-1) u_i, as lambda_family expects:
     rows grow in component i, columns in component j."""
@@ -107,36 +106,25 @@ def _verify_regime_facts(
     scheme: ParamScheme, n: int, non_simple: tuple[Multipartition, ...]
 ) -> tuple[int, int, int]:
     """Check the facts forced by simple_count = N - 1 for m >= 2 and return
-    the unique normalized witness."""
-    problems = []
+    the unique normalized witness.
+
+    One scan collects every (i, j, c) with i < j, |c| < n and u_j = q^c u_i;
+    the regime needs exactly one, with |c| = n - 1.  That uniqueness already
+    implies q != 1, [n]_q! != 0, order infinite or >= 2n - 1 and distinct
+    u_i: at a finite order e <= 2n - 2 the relation c comes with c -+ e, at
+    e = 1 with every c in (-n, n), and for n > 1 a relation c = 0 would be a
+    second one."""
     relations = [
         (i, j, c)
         for i in range(1, scheme.m + 1)
         for j in range(i + 1, scheme.m + 1)
-        for c in sorted(relation_exponents(scheme, i, j, n))
+        for c in sorted(relation_exponents(scheme, j, i, n))
     ]
     if len(relations) != 1 or abs(relations[0][2]) != n - 1:
-        problems.append(f"relations {relations} not a unique +-(n-1) relation")
-    if scheme.e == 1 and n > 1:
-        problems.append("q = 1")
-    if not (scheme.e == 0 or scheme.e == 1 or scheme.e > n):
-        problems.append("[n]_q! = 0")
-    if n > 1 and not min_order_check(scheme, n):
-        problems.append(f"order {scheme.e} below 2n-1")
-    if n > 1 and any(
-        0 in relation_exponents(scheme, i, j, n)
-        for i in range(1, scheme.m + 1)
-        for j in range(i + 1, scheme.m + 1)
-    ):
-        problems.append("parameters u_i not pairwise distinct")
-
-    witnesses = _locate_witness(scheme, n)
-    if len(witnesses) != 1:
-        problems.append(f"witnesses {witnesses}, expected exactly one")
-    if problems:
-        raise InconsistentRegimeError("inconsistent-regime: " + "; ".join(problems))
-
-    witness = witnesses[0]
+        raise InconsistentRegimeError(
+            f"inconsistent-regime: relations {relations} not a unique +-(n-1) relation"
+        )
+    witness = relations[0]
     expected_label = non_kleshchev_label(scheme.m, n, witness)
     if non_simple != (expected_label,):
         raise InconsistentRegimeError(
@@ -152,7 +140,7 @@ def classify_regime(
 
     In the almost-semisimple case the unique witness relation and the unique
     non-Kleshchev label are located and the facts the regime forces are
-    verified as internal assertions.  When kappa data is supplied, r and
+    checked (see the module docstring).  When kappa data is supplied, r and
     dim L(chi) = r^n are attached.
     """
     if n < 1:
@@ -171,12 +159,11 @@ def classify_regime(
             raise InconsistentRegimeError(
                 f"inconsistent-regime: m=1 count N-1 with order {scheme.e}"
             )
-        if scheme.e != 1:
-            _, restricted_count = m1_regime(scheme.e, n)
-            if restricted_count != count:
-                raise InconsistentRegimeError(
-                    "inconsistent-regime: m=1 restricted count disagrees"
-                )
+        _, restricted_count = m1_regime(scheme.e, n)
+        if restricted_count != count:
+            raise InconsistentRegimeError(
+                "inconsistent-regime: m=1 restricted count disagrees"
+            )
         witness = None
         expected_label = _strip_multipartition(1, (n,), 1)
         if non_simple != (expected_label,):
@@ -191,7 +178,6 @@ def classify_regime(
         # For m = 1 the r = numerator(kappa00) reading needs order exactly n;
         # at the order-(n-1) regime points no r is derivable.
         r = derive_r(kappa, witness[:2] if witness else (1, 1))
-        assert r > 0 and (scheme.m == 1 or r % scheme.m != 0)
         dim_l = r**n
     return RegimeReport(
         scheme.m, n, ALMOST_SEMISIMPLE, count, total,
@@ -209,12 +195,10 @@ def _tridiagonal(size: int) -> Matrix:
 def kz_dimensions(n: int) -> tuple[int, ...]:
     """dim KZ(L_i) for i = 1..n, as alternating sums over the resolution by
     standard modules of dimensions C(n, j); equals C(n-1, i-1)."""
-    dims = tuple(
+    return tuple(
         sum((-1) ** (j - i) * comb(n, j) for j in range(i, n + 1))
         for i in range(1, n + 1)
     )
-    assert dims == tuple(comb(n - 1, i - 1) for i in range(1, n + 1))
-    return dims
 
 
 def block_structure(report: RegimeReport, scheme: ParamScheme, n: int) -> BlockStructure:
@@ -243,8 +227,6 @@ def block_structure(report: RegimeReport, scheme: ParamScheme, n: int) -> BlockS
         )
         for a in range(n)
     )
-    hom_dims = _tridiagonal(n)
-    assert cartan == hom_dims
     kz = kz_dimensions(n)
     return BlockStructure(
         n=n,
@@ -252,19 +234,10 @@ def block_structure(report: RegimeReport, scheme: ParamScheme, n: int) -> BlockS
         simple_order=simple_order,
         decomposition=decomposition,
         cartan=cartan,
-        hom_dims=hom_dims,
+        hom_dims=_tridiagonal(n),
         kz_dims=kz,
         pkz_multiplicities=kz,
         exterior_dims=tuple(comb(n, i) for i in range(n + 1)),
-    )
-
-
-def ext1_dimensions(n: int) -> Matrix:
-    """Recorded dimensions of first extensions between the block simples:
-    1 between neighbours, 0 otherwise (the quiver adjacency).  Metadata
-    only; nothing here computes extension groups."""
-    return tuple(
-        tuple(1 if abs(a - b) == 1 else 0 for b in range(n)) for a in range(n)
     )
 
 
@@ -320,9 +293,3 @@ def _e_restricted(p: tuple[int, ...], e: int) -> bool:
     return all(
         p[i] - (p[i + 1] if i + 1 < len(p) else 0) < e for i in range(len(p))
     )
-
-
-def semisimple_equivalence(scheme: ParamScheme, n: int) -> bool:
-    """Cross-check: the semisimplicity criterion agrees with counting."""
-    count, _ = simple_count(scheme, n)
-    return ariki_semisimple(scheme, n) == (count == multipartition_count(scheme.m, n))

@@ -2,11 +2,15 @@
 
 import contextlib
 import io
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import akregime
 from akregime.cli import build_parser, format_matrix, format_multipartition, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -116,6 +120,16 @@ def test_sweep_machine_summary():
     assert "prediction_mismatches=0" in last
 
 
+def test_sweep_n1_matches_prediction():
+    # At n = 1 the algebra is commutative: for m >= 2 one coincidence
+    # u_i = u_j is the regime whatever q is, and m = 1 never is.
+    status, text = invoke("sweep", "--grid", "m=1,2,3;n=1", "--format", "machine")
+    assert status == 0
+    last = text.splitlines()[-1]
+    assert "disagreements=0" in last and "prediction_mismatches=0" in last
+    assert "regime_points=46" in last
+
+
 def test_sweep_deterministic():
     first = invoke("sweep", "--grid", "m=2;n=2;e=0,3,5", "--format", "machine")
     second = invoke("sweep", "--grid", "m=2;n=2;e=0,3,5", "--format", "machine")
@@ -215,6 +229,45 @@ def test_shared_parser_keeps_no_state():
     assert shared[1][2].startswith("usage: akregime classify")
     assert "unrecognized arguments: --grid m=2" in shared[2][2]
     assert "'m'" in shared[3][2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bn-algebra", "--n", "2", "--m", "5"),
+        ("bn-algebra", "--n", "2", "--kappa", "m=1;n=2;kappa00=1/2"),
+        ("sweep", "--grid", "m=1;n=2", "--scheme", "x"),
+        ("sweep", "--grid", "m=1;n=2", "--n", "2"),
+    ],
+    ids=["bn-m", "bn-kappa", "sweep-scheme", "sweep-n"],
+)
+def test_each_verb_takes_only_its_own_options(argv, capsys):
+    status, out = invoke(*argv)
+    assert status == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: akregime")
+    assert f"unrecognized arguments: {argv[-2]}" in err
+
+
+def test_closed_pipe_exits_quietly():
+    # The read end is closed before the process starts, so the first write
+    # to stdout fails every time.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(akregime.__file__).parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "akregime.cli", "bn-algebra", "--n", "3", "--format", "machine"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 1
 
 
 def _shows(shown, lines):

@@ -7,6 +7,7 @@ from akregime.oracle import (
     ALMOST_SEMISIMPLE,
     OTHER,
     SweepGrid,
+    _predicted_regime,
     grid_points,
     locus_summary,
     oracle_good_node,
@@ -16,7 +17,7 @@ from akregime.oracle import (
     regime_locus,
     verify_lemmas,
 )
-from akregime.params import ParamScheme
+from akregime.params import ParamScheme, relation_exponents
 from akregime.simples import good_node, is_kleshchev, simple_count
 from akregime.structure import classify_regime
 
@@ -189,3 +190,24 @@ def test_locus_regime_rows_match_fast_classification():
             assert count == row.scheme.m**0 * len(
                 enumerate_multipartitions(row.scheme.m, row.n)
             ) - 1
+
+
+def test_predicted_regime_is_one_relation_of_size_n_minus_1():
+    # For m >= 2 the predictor's extra conditions (q != 1, [n]_q! != 0, the
+    # order bound, distinct u_i) follow from a unique relation with
+    # |c| = n - 1, which is all classify_regime checks.  Here that relation
+    # is found directly, over every class and shift pattern of the grid.
+    mismatches = []
+    for n in range(1, 6):
+        grid = SweepGrid(m_values=(2, 3), n_values=(n,), e_values=tuple(range(2 * n + 4)))
+        for m, _, scheme in grid_points(grid):
+            relations = [
+                c
+                for i in range(1, m + 1)
+                for j in range(i + 1, m + 1)
+                for c in relation_exponents(scheme, j, i, n)
+            ]
+            unique = len(relations) == 1 and abs(relations[0]) == n - 1
+            if unique != _predicted_regime(scheme, n):
+                mismatches.append((n, scheme.describe()))
+    assert mismatches == []

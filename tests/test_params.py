@@ -192,6 +192,14 @@ def test_derive_r_no_solution():
         derive_r(kappa, (1, 2))
 
 
+@pytest.mark.parametrize("witness", [(1, 1), (3, 1)], ids=["equal", "out-of-range"])
+def test_derive_r_rejects_a_witness_that_names_no_pair(witness):
+    # Unchecked, (1, 1) gives r = 2 here, which m = 2 divides.
+    kappa = KappaInput(m=2, n=3, kappa00=Fraction(1, 2), kappa=(Fraction(0),))
+    with pytest.raises(ValueError, match="two distinct components"):
+        derive_r(kappa, witness)
+
+
 # --- parsing ----------------------------------------------------------------
 
 def test_parse_scheme_round_trip():

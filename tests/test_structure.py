@@ -1,21 +1,24 @@
+import io
+import re
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from akregime import structure
+from akregime.cli import run
 from akregime.params import KappaInput, ParamScheme, scheme_from_kappa
 from akregime.structure import (
     ALMOST_SEMISIMPLE,
     OTHER,
     SEMISIMPLE,
+    InconsistentRegimeError,
     block_structure,
     classify_regime,
-    ext1_dimensions,
     hecke_dimension_audit,
     kz_dimensions,
     m1_regime,
     non_kleshchev_label,
-    semisimple_equivalence,
 )
 
 REGIME_M2 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1))
@@ -182,18 +185,6 @@ def test_decomposition_shape_and_cartan_determinant(n):
     assert det == tridiagonal_det_recurrence(n) == n + 1
 
 
-def test_ext1_dimensions_are_quiver_adjacency():
-    for n in (1, 2, 3, 5):
-        table = ext1_dimensions(n)
-        scheme = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, n - 1))
-        bs = block_structure(classify_regime(scheme, n), scheme, n)
-        off_diagonal = tuple(
-            tuple(bs.cartan[a][b] - (2 if a == b else 0) for b in range(n))
-            for a in range(n)
-        )
-        assert table == off_diagonal
-
-
 @pytest.mark.parametrize("n", range(1, 13))
 def test_kz_dimensions_identity(n):
     dims = kz_dimensions(n)
@@ -256,11 +247,56 @@ def test_order_one_below_bound_is_not_regime():
         assert report.kind == OTHER
 
 
-def test_semisimple_equivalence_spot_checks():
-    for scheme, n in [
-        (REGIME_M2, 2),
-        (ParamScheme(m=2, e=1, classes=(0, 1), shifts=(0, 0)), 3),
-        (ParamScheme(m=2, e=2, classes=(0, 1), shifts=(0, 0)), 2),
-        (ParamScheme(m=3, e=0, classes=(0, 1, 2), shifts=(0, 0, 0)), 4),
-    ]:
-        assert semisimple_equivalence(scheme, n)
+
+# --- regime checks ---------------------------------------------------------------
+# Each check that classify_regime keeps must be able to fail.  simple_count
+# is replaced so that it reports N - 1 simple modules where the point's
+# parameters cannot produce that count, or names the wrong missing label.
+
+BROKEN_REGIME = {
+    "m2-no-relation": (
+        ParamScheme(m=2, e=0, classes=(0, 1), shifts=(0, 0)), 2, ((2,), ()),
+        "not a unique +-(n-1) relation",
+    ),
+    # q = 1 and order 2n - 2 fail through the uniqueness of the relation.
+    "m2-q-one": (
+        ParamScheme(m=2, e=1, classes=(0, 0), shifts=(0, 0)), 2, ((2,), ()),
+        "not a unique +-(n-1) relation",
+    ),
+    "m2-order-2n-2": (
+        ParamScheme(m=2, e=2, classes=(0, 0), shifts=(0, 1)), 2, ((2,), ()),
+        "not a unique +-(n-1) relation",
+    ),
+    "m2-wrong-label": (REGIME_M2, 2, ((1, 1), ()), "non-simple labels"),
+    "m1-infinite-order": (
+        ParamScheme(m=1, e=0, classes=(0,), shifts=(0,)), 3, ((3,),), "order 0",
+    ),
+    "m1-wrong-label": (
+        ParamScheme(m=1, e=3, classes=(0,), shifts=(0,)), 3, ((2, 1),),
+        "m=1 non-simple labels",
+    ),
+}
+
+
+def _fake_simple_count(label):
+    def simple_count(scheme, n):
+        return structure.multipartition_count(scheme.m, n) - 1, (label,)
+
+    return simple_count
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_REGIME))
+def test_regime_checks_can_fail(case, monkeypatch):
+    scheme, n, label, message = BROKEN_REGIME[case]
+    monkeypatch.setattr(structure, "simple_count", _fake_simple_count(label))
+    with pytest.raises(InconsistentRegimeError, match=re.escape(message)):
+        classify_regime(scheme, n)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_REGIME))
+def test_inconsistent_regime_exits_2(case, monkeypatch, capsys):
+    scheme, n, label, _ = BROKEN_REGIME[case]
+    monkeypatch.setattr(structure, "simple_count", _fake_simple_count(label))
+    argv = ["classify", "--m", str(scheme.m), "--n", str(n), "--scheme", scheme.describe()]
+    assert run(argv, io.StringIO()) == 2
+    assert "inconsistent-regime" in capsys.readouterr().err
