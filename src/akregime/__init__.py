@@ -29,7 +29,6 @@ from .simples import (
     ariki_semisimple,
     good_node,
     is_kleshchev,
-    min_order_check,
     simple_count,
 )
 from .structure import (
@@ -73,7 +72,6 @@ __all__ = [
     "kz_dimensions",
     "lambda_family",
     "m1_regime",
-    "min_order_check",
     "multipartition_count",
     "relation_exponents",
     "removable_nodes",

@@ -7,7 +7,9 @@ as [(2),()]-style lists, matrices as semicolon-separated rows).
 
 Exit codes: 0 success, 1 domain or usage errors (bad witness, q=1 blocks,
 malformed parameter strings), 2 internal consistency failures (fast/oracle
-disagreement, audit mismatch, regular-representation failure).
+disagreement, audit mismatch, regular-representation failure) and any
+unexpected exception, reported on one line as `error: internal: <Type>:
+<message>` without a traceback.
 
 The argument parser is built once per process, on the first `run`, and
 shared by every later call: parsing keeps no state in it (each call gets a
@@ -325,6 +327,12 @@ def run(argv, out) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # a closed stdout is handled by `main`
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -2,9 +2,12 @@
 
 Everything here is recomputed from the definitions: residues, normal and
 good nodes, the Kleshchev recursion, the q = 1 criterion, content
-multisets, and the parameter-relation scans.  The Kleshchev search tree is
-walked in full for every label (no verdict is memoized); only each label's
-good-node children are computed once per scheme.  None of it calls into
+multisets, and the parameter-relation scans.  A label's removable and
+addable nodes are found, grouped by residue, in one top-to-bottom pass over
+each component, and the normal and good nodes are then read off that
+grouping by the definition.  The Kleshchev search tree is walked in full
+for every label (no verdict is memoized); only each label's good-node
+children are computed once per scheme.  None of it calls into
 the kernel, simples or blocks, so agreement between this module and the
 fast path is a genuine two-route check.  Only the multipartition
 enumeration is shared plumbing (it has its own generating-function
@@ -43,28 +46,6 @@ def _residue(scheme: ParamScheme, k: int, row: int, col: int) -> tuple[int, int]
     return (scheme.classes[k - 1], exp)
 
 
-def _removables(mp):
-    out = []
-    for k, part in enumerate(mp, start=1):
-        for r in range(1, len(part) + 1):
-            here = part[r - 1]
-            next_row = part[r] if r < len(part) else 0
-            if here > next_row:
-                out.append((k, r, here))
-    return out
-
-
-def _addables(mp):
-    out = []
-    for k, part in enumerate(mp, start=1):
-        for r in range(1, len(part) + 2):
-            here = part[r - 1] if r <= len(part) else 0
-            prev_row = part[r - 2] if r >= 2 else None
-            if prev_row is None or prev_row > here:
-                out.append((k, r, here + 1))
-    return out
-
-
 def _is_below(y, x) -> bool:
     """Node y below node x: later component, or same component lower row."""
     return (y[0], y[1]) > (x[0], x[1])
@@ -75,15 +56,28 @@ def _strictly_between(y, x, xp) -> bool:
 
 
 def _nodes_by_residue(scheme: ParamScheme, mp: Multipartition):
-    """Removable and addable nodes of mp, each grouped by residue.  Both
-    keep `_removables`/`_addables` order, top to bottom, and the removable
-    residues are keyed in the order first met."""
+    """Removable and addable nodes of mp, each grouped by residue, found in
+    one top-to-bottom pass over each component.  Every list runs top to
+    bottom, and the removable residues are keyed in the order first met."""
     rem: dict = {}
     add: dict = {}
-    for x in _removables(mp):
-        rem.setdefault(_residue(scheme, *x), []).append(x)
-    for x in _addables(mp):
-        add.setdefault(_residue(scheme, *x), []).append(x)
+    e = scheme.e
+    for k, part in enumerate(mp, start=1):
+        cls = scheme.classes[k - 1]
+        shift = scheme.shifts[k - 1]
+        above = None
+        for r, (here, below) in enumerate(zip(part, part[1:] + (0,)), start=1):
+            # Rows never grow downwards, so a row differing from the one
+            # above it (or the top row) has an addable node at its end.
+            if here != above:
+                exp = shift + here + 1 - r
+                add.setdefault((cls, exp % e if e else exp), []).append((k, r, here + 1))
+            if here > below:
+                exp = shift + here - r
+                rem.setdefault((cls, exp % e if e else exp), []).append((k, r, here))
+            above = here
+        exp = shift - len(part)
+        add.setdefault((cls, exp % e if e else exp), []).append((k, len(part) + 1, 1))
     return rem, add
 
 
@@ -135,7 +129,7 @@ def oracle_kleshchev(scheme: ParamScheme, mp: Multipartition, children=None) -> 
     maps a label to its `_good_children` under this scheme; callers that
     test many labels of one scheme share one dict, so each label's good
     nodes are found once."""
-    if all(not part for part in mp):
+    if not any(mp):
         return True
     if children is None:
         children = {}

@@ -100,9 +100,3 @@ def ariki_semisimple(scheme: ParamScheme, n: int) -> bool:
         for i in range(1, scheme.m + 1)
         for j in range(i + 1, scheme.m + 1)
     )
-
-
-def min_order_check(scheme: ParamScheme, n: int) -> bool:
-    """Order-of-q lower bound in the almost-semisimple configuration: the
-    order must be infinite or at least 2n - 1."""
-    return scheme.e == 0 or scheme.e >= 2 * n - 1

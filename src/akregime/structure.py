@@ -12,8 +12,8 @@ regime forces, each once:
     m >= 2   exactly one relation u_j = q^c u_i with i < j and |c| < n,
              and that one has |c| = n - 1; the row or column of n boxes it
              forces is the only non-Kleshchev label
-    m = 1    order n, or n - 1 >= 2; the e-restricted count; the row (n)
-             as the only non-Kleshchev label
+    m = 1    order n, or n - 1 >= 2 (which gives the e-restricted count
+             p(n) - 1); the row (n) as the only non-Kleshchev label
 
 q != 1, [n]_q! != 0, the order bound 2n - 1 and pairwise distinct u_i all
 follow from the unique relation and are not checked apart.  Any failure
@@ -154,15 +154,11 @@ def classify_regime(
 
     if scheme.m == 1:
         # Exactly the row (n) has a part gap >= n - 1, so the restricted
-        # count is p(n) - 1 at order n and also at order n - 1 (when q != 1).
+        # count is p(n) - 1 at order n and also at order n - 1 (when q != 1):
+        # the order check below already implies it.
         if not (scheme.e == n or (scheme.e == n - 1 and scheme.e >= 2)):
             raise InconsistentRegimeError(
                 f"inconsistent-regime: m=1 count N-1 with order {scheme.e}"
-            )
-        _, restricted_count = m1_regime(scheme.e, n)
-        if restricted_count != count:
-            raise InconsistentRegimeError(
-                "inconsistent-regime: m=1 restricted count disagrees"
             )
         witness = None
         expected_label = _strip_multipartition(1, (n,), 1)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import akregime
+from akregime import cli
 from akregime.cli import build_parser, format_matrix, format_multipartition, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -268,6 +269,20 @@ def test_closed_pipe_exits_quietly():
         os.close(write_end)
     assert done.stderr == b""
     assert done.returncode == 1
+
+
+def test_unexpected_exception_exits_2_on_one_line(monkeypatch, capsys):
+    def broken(args, out):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", broken)
+    monkeypatch.setattr(sys, "argv", ["akregime", "classify", "--m", "1", "--n", "2"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "error: internal: KeyError: 'lost'\n"
+    assert "Traceback" not in err
 
 
 def _shows(shown, lines):

@@ -2,12 +2,16 @@ import pytest
 
 from akregime import _kernel
 from akregime._kernel import pykernel
-from akregime.combinatorics import enumerate_multipartitions
+from akregime.combinatorics import addable_nodes, enumerate_multipartitions, removable_nodes
 from akregime.oracle import (
     ALMOST_SEMISIMPLE,
     OTHER,
     SweepGrid,
+    _class_tuples,
+    _nodes_by_residue,
     _predicted_regime,
+    _residue,
+    _shift_tuples,
     grid_points,
     locus_summary,
     oracle_good_node,
@@ -77,6 +81,32 @@ def test_shared_children_cache_matches_fresh_cache(classes, shifts, n, e):
     top = enumerate_multipartitions(m, n)
     assert oracle_simple_count(scheme, n) == sum(fresh[mp] for mp in top)
     assert 0 < oracle_simple_count(scheme, n) < len(top)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("e", [0, 2, 5])
+def test_nodes_by_residue_matches_grouped_node_lists(m, e):
+    # The one-pass scan must give what grouping the full node lists by
+    # `_residue` gives: the same lists, each top to bottom, and the
+    # removable residues keyed in the order first met.
+    for n in range(1, 6):
+        labels = [
+            (mp, [tuple(x) for x in removable_nodes(mp)], [tuple(x) for x in addable_nodes(mp)])
+            for mp in enumerate_multipartitions(m, n)
+        ]
+        for classes in _class_tuples(m, ("all-same", "one-merged-pair")):
+            for shifts in _shift_tuples(m, n, e):
+                scheme = ParamScheme(m=m, e=e, classes=classes, shifts=shifts)
+                for mp, removables, addables in labels:
+                    rem: dict = {}
+                    add: dict = {}
+                    for x in removables:
+                        rem.setdefault(_residue(scheme, *x), []).append(x)
+                    for x in addables:
+                        add.setdefault(_residue(scheme, *x), []).append(x)
+                    got = _nodes_by_residue(scheme, mp)
+                    assert got == (rem, add), (scheme, mp)
+                    assert list(got[0]) == list(rem), (scheme, mp)
 
 
 def test_oracle_kind_does_not_use_the_kernel(monkeypatch):

@@ -16,7 +16,6 @@ from akregime.simples import (
     ariki_semisimple,
     good_node,
     is_kleshchev,
-    min_order_check,
     simple_count,
 )
 from akregime.structure import _e_restricted
@@ -141,12 +140,6 @@ def test_ariki_semisimple_examples():
     # q = 1 with distinct parameters is the semisimple group algebra.
     assert ariki_semisimple(ParamScheme(m=2, e=1, classes=(0, 1), shifts=(0, 0)), 4)
     assert not ariki_semisimple(ParamScheme(m=2, e=1, classes=(0, 0), shifts=(0, 0)), 2)
-
-
-def test_min_order_check():
-    assert min_order_check(ParamScheme(m=1, e=3, classes=(0,), shifts=(0,)), 2)
-    assert not min_order_check(ParamScheme(m=1, e=2, classes=(0,), shifts=(0,)), 2)
-    assert min_order_check(ParamScheme(m=1, e=0, classes=(0,), shifts=(0,)), 9)
 
 
 def test_count_invariant_under_shift_translation():
