@@ -266,10 +266,14 @@ def _parse_grid(text: str) -> oracle.SweepGrid:
         key, value = chunk.split("=", 1)
         if key not in _GRID_MINIMA:
             raise SchemeParseError(f"unknown grid key {key!r}")
+        if key in fields:
+            raise SchemeParseError(f"duplicate grid key {key!r}")
         try:
             fields[key] = tuple(int(v) for v in value.split(","))
         except ValueError:
             raise SchemeParseError(f"bad grid values {value!r}") from None
+        if len(set(fields[key])) != len(fields[key]):
+            raise SchemeParseError(f"grid key {key!r} repeats a value: {value!r}")
         if min(fields[key]) < _GRID_MINIMA[key]:
             raise SchemeParseError(
                 f"grid key {key!r} takes values >= {_GRID_MINIMA[key]}: {value!r}"

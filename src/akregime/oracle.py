@@ -445,17 +445,40 @@ def _predicted_regime(scheme: ParamScheme, n: int) -> bool:
     return all(c != 0 for _, _, c in rels)
 
 
+def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:
+    """What oracle_kind(scheme, n) reads of the parameters: m, n, whether
+    e = 1, and the residues of contents -n..n in each component, numbered
+    in the order first met.  Every removable or addable node of a label of
+    size <= n has its content in that window, so two schemes with equal
+    patterns group every node the oracle visits alike."""
+    numbers: dict = {}
+    pattern = tuple(
+        numbers.setdefault(_residue(scheme, k, 1, 1 + d), len(numbers))
+        for k in range(1, scheme.m + 1)
+        for d in range(-n, n + 1)
+    )
+    return (scheme.m, n, scheme.e == 1, pattern)
+
+
 def regime_locus(grid: SweepGrid) -> list[GridPointResult]:
     """Evaluate every grid point with both routes.
 
-    fast_kind comes from structure.classify_regime, oracle_kind from the
-    naive recursion; predicted_regime is the parameter-side condition set.
-    Disagreements are recorded, never suppressed.
+    fast_kind comes from structure.classify_regime at every point;
+    predicted_regime is the parameter-side condition set.  oracle_kind
+    comes from the naive recursion, run once per `_residue_pattern`: the
+    oracle reads residues only to group nodes and (at e = 1) to compare
+    class labels, so points with one pattern have one simple count.  The
+    pattern-to-kind dict lives for this call only.  Disagreements are
+    recorded, never suppressed.
     """
     rows = []
+    kinds: dict = {}
     for m, n, scheme in grid_points(grid):
         fast_kind = structure.classify_regime(scheme, n).kind
-        naive_kind = oracle_kind(scheme, n)
+        pattern = _residue_pattern(scheme, n)
+        naive_kind = kinds.get(pattern)
+        if naive_kind is None:
+            naive_kind = kinds[pattern] = oracle_kind(scheme, n)
         predicted = _predicted_regime(scheme, n)
         rows.append(
             GridPointResult(

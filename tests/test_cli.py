@@ -167,8 +167,19 @@ def test_kappa_m_mismatch_exit_code():
 
 @pytest.mark.parametrize(
     "grid,key",
-    [("m=2;q=zzz", "q"), ("m=0;n=2", "m"), ("m=1;n=-1", "n"), ("e=-1", "e")],
-    ids=["unknown-key", "m-zero", "n-negative", "e-negative"],
+    [
+        ("m=2;q=zzz", "q"),
+        ("m=0;n=2", "m"),
+        ("m=1;n=-1", "n"),
+        ("e=-1", "e"),
+        ("m=2,2;n=2", "m"),
+        ("m=1;n=2;e=0,3,0", "e"),
+        ("m=1;m=2;n=2", "m"),
+    ],
+    ids=[
+        "unknown-key", "m-zero", "n-negative", "e-negative",
+        "m-repeated-value", "e-repeated-value", "m-duplicate-key",
+    ],
 )
 def test_bad_grid_exit_code(grid, key, capsys):
     status, out = invoke("sweep", "--grid", grid)

@@ -1,16 +1,21 @@
+import dataclasses
+import random
+
 import pytest
 
-from akregime import _kernel
+from akregime import _kernel, oracle, structure
 from akregime._kernel import pykernel
 from akregime.combinatorics import addable_nodes, enumerate_multipartitions, removable_nodes
 from akregime.oracle import (
     ALMOST_SEMISIMPLE,
     OTHER,
+    SEMISIMPLE,
     SweepGrid,
     _class_tuples,
     _nodes_by_residue,
     _predicted_regime,
     _residue,
+    _residue_pattern,
     _shift_tuples,
     grid_points,
     locus_summary,
@@ -220,6 +225,84 @@ def test_locus_regime_rows_match_fast_classification():
             assert count == row.scheme.m**0 * len(
                 enumerate_multipartitions(row.scheme.m, row.n)
             ) - 1
+
+
+def _random_schemes(count, seed):
+    """Seeded (scheme, n) pairs with every kind of order (infinite, q = 1,
+    small, at least 2n), negative shifts and repeated class labels; m and
+    n are kept small enough that many schemes share a residue pattern."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 5 if m <= 2 else 7 - m)
+        e = rng.choice((0, 1, rng.randint(2, n + 1), rng.randint(2 * n, 2 * n + 3)))
+        classes = tuple(rng.randrange(rng.randint(1, m)) for _ in range(m))
+        shifts = tuple(rng.randint(-2 * n, 2 * n) for _ in range(m))
+        yield ParamScheme(m=m, e=e, classes=classes, shifts=shifts), n
+
+
+def test_oracle_count_depends_only_on_residue_pattern():
+    # regime_locus runs the oracle once per pattern and reuses its kind, so
+    # every scheme sharing a pattern must have the same oracle count.  A
+    # pattern over the narrower window -(n-2)..n-2, or one without the
+    # class labels, fails here (several hundred mismatches each).
+    first: dict = {}
+    mismatches = []
+    for scheme, n in _random_schemes(3000, seed=8):
+        count = oracle_simple_count(scheme, n)
+        pattern = _residue_pattern(scheme, n)
+        if first.setdefault(pattern, (count, scheme))[0] != count:
+            mismatches.append((n, scheme.describe(), first[pattern][1].describe()))
+    assert mismatches == []
+    assert len(first) < 1500  # the schemes do share patterns
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_regime_locus_runs_oracle_once_per_pattern(monkeypatch):
+    fast = _count_calls(monkeypatch, structure, "classify_regime")
+    naive = _count_calls(monkeypatch, oracle, "oracle_kind")
+    rows = regime_locus(SweepGrid())
+    assert len(rows) == len(fast) == 4151
+    assert len(naive) == 1309
+    assert len({_residue_pattern(*args) for args in naive}) == 1309
+
+
+def test_planted_fast_kind_shows_at_a_reused_pattern(monkeypatch):
+    # A wrong fast kind at a point whose oracle kind is reused from an
+    # earlier point of its pattern must still count as a disagreement.
+    grid = SweepGrid(m_values=(2,), n_values=(3,))
+    seen = set()
+    for _, n, scheme in grid_points(grid):
+        pattern = _residue_pattern(scheme, n)
+        if pattern in seen:
+            planted = scheme
+            break
+        seen.add(pattern)
+    classify = structure.classify_regime
+
+    def plant(scheme, n):
+        report = classify(scheme, n)
+        if scheme != planted:
+            return report
+        return dataclasses.replace(report, kind=OTHER if report.kind != OTHER else SEMISIMPLE)
+
+    monkeypatch.setattr(structure, "classify_regime", plant)
+    rows = regime_locus(grid)
+    assert locus_summary(rows)["disagreements"] == 1
+    (row,) = [row for row in rows if not row.agree]
+    assert row.scheme == planted
+    assert row.oracle_kind == oracle_kind(planted, row.n)
 
 
 def test_predicted_regime_is_one_relation_of_size_n_minus_1():
