@@ -13,6 +13,12 @@ fast path is a genuine two-route check.  Only the multipartition
 enumeration is shared plumbing (it has its own generating-function
 cross-check in the test suite).
 
+Beyond m and whether e = 1, the oracle reads the parameters only through
+residues, which it compares for equality (to group nodes, or at e = 1 to
+compare class labels).  So `regime_locus` runs it once per residue pattern
+of the grid (see `_residue_pattern`), while the fast path runs at every
+point.
+
 The six content lemmas that pin down the exceptional block are exposed
 under descriptive names:
 
@@ -448,8 +454,9 @@ def _predicted_regime(scheme: ParamScheme, n: int) -> bool:
 def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:
     """What oracle_kind(scheme, n) reads of the parameters: m, n, whether
     e = 1, and the residues of contents -n..n in each component, numbered
-    in the order first met.  Every removable or addable node of a label of
-    size <= n has its content in that window, so two schemes with equal
+    in the order first met.  Node (k, r, c) has the residue of content
+    c - r in component k, and every removable or addable node of a label
+    of size <= n has its content in that window, so two schemes with equal
     patterns group every node the oracle visits alike."""
     numbers: dict = {}
     pattern = tuple(

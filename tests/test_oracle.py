@@ -245,7 +245,7 @@ def test_oracle_count_depends_only_on_residue_pattern():
     # regime_locus runs the oracle once per pattern and reuses its kind, so
     # every scheme sharing a pattern must have the same oracle count.  A
     # pattern over the narrower window -(n-2)..n-2, or one without the
-    # class labels, fails here (several hundred mismatches each).
+    # class labels, fails here (601 and 654 mismatches).
     first: dict = {}
     mismatches = []
     for scheme, n in _random_schemes(3000, seed=8):
