@@ -1,103 +1,103 @@
-"""Kleshchev kernel.
+"""Kleshchev kernel on raw data (order e, class/shift tuples,
+multipartitions as tuples of tuples), independent of the typed API layer
+in `simples`.
 
-The kernel works on raw data (order e, class/shift tuples, multipartitions
-as tuples of tuples) so it stays independent of the typed API layer in
-`simples`.
+Residue (cls, exp) is the int key class_index + stride * exp: a call numbers
+the distinct class labels in first-seen order and stride is their count, so
+keys never collide.  Component k's node of content d has key class_index +
+stride * (shift + d), reduced mod stride * e when e > 0 (exp mod e).
 
 Good-node rule, for a fixed residue: list the removable and addable nodes
 of that residue in the "below" order (component, then row; within one
 residue all such nodes have distinct (component, row) when q != 1).  A
 removable node opens a bracket and an addable node closes the nearest open
-one; the good node is the first removable node left open.
-
-One walk per descent step applies the rule to every residue at once.  It
-takes each component one run of equal rows at a time: a run has one
-addable node, at its top row, then one removable node, at its bottom row,
-so the walk costs one step per run rather than per row.
+one; the good node is the first removable node left open.  One walk per
+descent step brackets every residue at once, one run of equal rows at a
+time: a run has one addable node, at its top row, then one removable node,
+at its bottom row.
 """
 
 
-def _good_index(e, classes, shifts, mp):
-    """Open removable nodes of `mp` after bracketing all residues together.
+def _keys(e, classes, shifts):
+    class_index = {cls: i for i, cls in enumerate(dict.fromkeys(classes))}
+    stride = len(class_index)
+    bases = tuple(class_index[cls] + stride * shift for cls, shift in zip(classes, shifts))
+    return class_index, stride, stride * e, bases
 
-    Returns dict residue -> list of (component, row), 0-based, in below
-    order; the good node of a residue is the first entry of its list, and
-    a residue without one has an empty list or no entry.
-    """
+
+def _good_index(stride, modulus, bases, mp):
+    """Residue key -> open removable (component, row) of `mp`, below order."""
     opened = {}
     for k, component in enumerate(mp):
-        cls = classes[k]
-        shift = shifts[k]
+        base = bases[k]
         rows = len(component)
         r = 0
         while True:
             row_len = component[r] if r < rows else 0
             # The addable node (r, row_len + 1) tops the run.
-            exp = shift + row_len - r
-            if e:
-                exp %= e
-            nodes = opened.get((cls, exp))
+            key = base + stride * (row_len - r)
+            if modulus:
+                key %= modulus
+            nodes = opened.get(key)
             if nodes:
                 nodes.pop()
             if r == rows:
                 break
             r += component.count(row_len)
             # The removable node (r - 1, row_len) ends the run.
-            exp = shift + row_len - r
-            if e:
-                exp %= e
-            opened.setdefault((cls, exp), []).append((k, r - 1))
+            key = base + stride * (row_len - r)
+            if modulus:
+                key %= modulus
+            opened.setdefault(key, []).append((k, r - 1))
     return opened
 
 
 def good_node(e, classes, shifts, mp, residue):
     """The good node of the given residue, as (component, row, column)
     1-based, or None.  Requires e != 1."""
-    nodes = _good_index(e, classes, shifts, mp).get(tuple(residue))
+    class_index, stride, modulus, bases = _keys(e, classes, shifts)
+    cls, exp = residue
+    if cls not in class_index:
+        return None
+    key = class_index[cls] + stride * (exp % e if e else exp)
+    nodes = _good_index(stride, modulus, bases, mp).get(key)
     if not nodes:
         return None
     k, r = nodes[0]
     return (k + 1, r + 1, mp[k][r])
 
 
-def _remove(mp, k, r):
-    component = mp[k]
-    new_len = component[r] - 1
-    rows = component[:r] + ((new_len,) if new_len else ()) + component[r + 1:]
-    return mp[:k] + (rows,) + mp[k + 1:]
-
-
-def _verdict(e, classes, shifts, mp, memo):
+def _verdict(stride, modulus, bases, mp, memo):
     # The Kleshchev labels are the crystal component of the empty
     # multipartition, and removing a good node is a crystal edge, so it
     # never leaves or enters that component: a label is Kleshchev exactly
-    # when any one good-node descent reaches the empty multipartition.
+    # when any one good-node descent reaches the empty multipartition: each
+    # step takes the first open node of the first residue that has one.
     chain = []
-    while True:
-        result = memo.get(mp)
-        if result is not None:
-            break
-        if not any(mp):
-            result = True
-            break
+    result = memo.get(mp)
+    while result is None:
         chain.append(mp)
-        opened = _good_index(e, classes, shifts, mp)
-        residues = [res for res, nodes in opened.items() if nodes]
-        if not residues:
+        for nodes in _good_index(stride, modulus, bases, mp).values():
+            if nodes:
+                break
+        else:
             result = False
             break
-        k, r = opened[min(residues)][0]
-        mp = _remove(mp, k, r)
+        k, r = nodes[0]
+        rows = mp[k]
+        new_len = rows[r] - 1
+        rows = rows[:r] + ((new_len,) if new_len else ()) + rows[r + 1:]
+        mp = mp[:k] + (rows,) + mp[k + 1:]
+        result = memo.get(mp)
     for label in chain:
         memo[label] = result
     return result
 
 
 def kleshchev_verdicts(e, classes, shifts, mps):
-    """Kleshchev verdict for each multipartition, sharing one memo table.
-
-    The memo is confined to this call, so concurrent callers never share
-    state.  Requires e != 1.
-    """
-    memo = {}
-    return [_verdict(e, classes, shifts, mp, memo) for mp in mps]
+    """Kleshchev verdict for each multipartition, sharing one memo table
+    confined to this call, so concurrent callers never share state.
+    Requires e != 1."""
+    _, stride, modulus, bases = _keys(e, classes, shifts)
+    memo = {((),) * len(classes): True}
+    return [_verdict(stride, modulus, bases, mp, memo) for mp in mps]

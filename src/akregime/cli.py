@@ -272,8 +272,6 @@ def _parse_grid(text: str) -> oracle.SweepGrid:
             fields[key] = tuple(int(v) for v in value.split(","))
         except ValueError:
             raise SchemeParseError(f"bad grid values {value!r}") from None
-        if len(set(fields[key])) != len(fields[key]):
-            raise SchemeParseError(f"grid key {key!r} repeats a value: {value!r}")
         if min(fields[key]) < _GRID_MINIMA[key]:
             raise SchemeParseError(
                 f"grid key {key!r} takes values >= {_GRID_MINIMA[key]}: {value!r}"

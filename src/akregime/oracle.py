@@ -354,6 +354,13 @@ class SweepGrid:
     e_values: tuple[int, ...] | None = None  # None: 0..2n+1 per n
     class_patterns: tuple[str, ...] = ("all-same", "all-distinct", "one-merged-pair")
 
+    def __post_init__(self):
+        # A repeated value would put its grid points into the locus twice.
+        for key, values in (("m", self.m_values), ("n", self.n_values), ("e", self.e_values)):
+            if values is not None and len(set(values)) != len(values):
+                text = ",".join(str(v) for v in values)
+                raise ValueError(f"grid key {key!r} repeats a value: {text!r}")
+
 
 @dataclass(frozen=True)
 class GridPointResult:
@@ -393,23 +400,14 @@ def _class_tuples(m: int, patterns) -> list[tuple[int, ...]]:
     return unique
 
 
-def _canonical_shift(shifts: tuple[int, ...], e: int) -> tuple[int, ...]:
-    if e == 0:
-        low = min(shifts)
-        return tuple(s - low for s in shifts)
-    return min(tuple((s + c) % e for s in shifts) for c in range(e))
-
-
 def _shift_tuples(m: int, n: int, e: int) -> list[tuple[int, ...]]:
-    bound = e if e >= 1 else 2 * n
-    seen = set()
-    out = []
-    for shifts in product(range(bound), repeat=m):
-        canonical = _canonical_shift(shifts, e)
-        if canonical not in seen:
-            seen.add(canonical)
-            out.append(canonical)
-    return out
+    """One shift tuple per global translation class, in lexicographic order:
+    for e >= 1 the tuples of range(e)^m starting with 0 (a rotation mod e
+    moves the first shift to 0), for e = 0 the tuples of range(2n)^m with
+    least entry 0."""
+    if e >= 1:
+        return [(0,) + rest for rest in product(range(e), repeat=m - 1)]
+    return [shifts for shifts in product(range(2 * n), repeat=m) if min(shifts) == 0]
 
 
 def grid_points(grid: SweepGrid):
@@ -419,8 +417,9 @@ def grid_points(grid: SweepGrid):
         for n in grid.n_values:
             e_values = grid.e_values if grid.e_values is not None else range(2 * n + 2)
             for e in e_values:
+                shift_tuples = _shift_tuples(m, n, e)
                 for classes in _class_tuples(m, grid.class_patterns):
-                    for shifts in _shift_tuples(m, n, e):
+                    for shifts in shift_tuples:
                         yield m, n, ParamScheme(m=m, e=e, classes=classes, shifts=shifts)
 
 
