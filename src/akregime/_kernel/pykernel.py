@@ -71,8 +71,8 @@ def _verdict(stride, modulus, bases, mp, memo):
     # The Kleshchev labels are the crystal component of the empty
     # multipartition, and removing a good node is a crystal edge, so it
     # never leaves or enters that component: a label is Kleshchev exactly
-    # when any one good-node descent reaches the empty multipartition: each
-    # step takes the first open node of the first residue that has one.
+    # when any one good-node descent reaches the empty multipartition.  So
+    # each step takes the first open node of the first residue that has one.
     chain = []
     result = memo.get(mp)
     while result is None:

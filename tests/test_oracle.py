@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 
@@ -179,6 +180,67 @@ def test_grid_contains_patterns_and_dedups_translation():
     # translated copies are canonicalized away
     assert "e=0;class=0,0;shift=1,2" not in schemes
     assert all(min(s.shifts) == 0 or s.e > 0 for _, _, s in points)
+
+
+def _canonical_shift(shifts, e):
+    # Brute force: the least rotation mod e, or the translate with least entry 0.
+    if e == 0:
+        low = min(shifts)
+        return tuple(s - low for s in shifts)
+    return min(tuple((s + c) % e for s in shifts) for c in range(e))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_shift_tuples_match_brute_force_canonicalisation(m):
+    for n in range(1, 5):
+        for e in range(2 * n + 2):
+            every = product(range(e or 2 * n), repeat=m)
+            expected = list(dict.fromkeys(_canonical_shift(s, e) for s in every))
+            assert _shift_tuples(m, n, e) == expected, (m, n, e)
+
+
+@pytest.mark.parametrize(
+    "fields", [dict(m_values=(2, 2)), dict(n_values=(3, 2, 3)), dict(e_values=(0, 3, 0))]
+)
+def test_sweep_grid_rejects_repeated_values(fields):
+    with pytest.raises(ValueError, match="repeats a value"):
+        SweepGrid(**fields)
+
+
+@pytest.mark.parametrize(
+    "e, plain, relabelled, shifts",
+    [
+        (0, (0, 0, 1), (-7, -7, 10**9 + 1), (0, 1, -(10**9 + 8) // 3)),
+        (0, (0, 1, 0), (10**9 + 1, -7, 10**9 + 1), (0, (10**9 + 8) // 3, 2)),
+        (5, (0, 0, 1), (-7, -7, 5), (0, 1, 0)),
+    ],
+    ids=["e0-large-third", "e0-large-outer", "e5-small"],
+)
+def test_residue_keys_ignore_how_classes_are_labelled(e, plain, relabelled, shifts):
+    # Relabelled classes are negative, large and non-contiguous, and
+    # congruent mod m = 3; the shifts make a key of cls + m * exp give one
+    # key to two different residues (at e = 0, nodes of equal content in the
+    # two classes), so this test fails on such a key.
+    n = 4
+    base = ParamScheme(m=3, e=e, classes=plain, shifts=shifts)
+    other = dataclasses.replace(base, classes=relabelled)
+    relabel = dict(zip(plain, relabelled))
+    labels = [mp for size in range(n + 1) for mp in enumerate_multipartitions(3, size)]
+    expected = [oracle_kleshchev(other, mp) for mp in labels]
+    for scheme in (base, other):
+        assert _kernel.kleshchev_verdicts(e, scheme.classes, scheme.shifts, labels) == expected
+    assert simple_count(other, n) == simple_count(base, n)
+    assert simple_count(other, n)[0] == oracle_simple_count(other, n)
+    exps = range(e) if e else {s + d for s in shifts for d in range(-n, n + 1)}
+    for mp in labels:
+        for cls in set(plain):
+            for exp in exps:
+                fast = good_node(other, mp, (relabel[cls], exp))
+                assert fast == good_node(base, mp, (cls, exp)), (mp, cls, exp)
+                assert (tuple(fast) if fast else None) == oracle_good_node(
+                    other, mp, (relabel[cls], exp)
+                ), (mp, cls, exp)
+        assert _kernel.good_node(e, relabelled, shifts, mp, (42, 0)) is None
 
 
 def test_locus_small_grid_no_disagreements():
