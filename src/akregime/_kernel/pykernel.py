@@ -15,6 +15,12 @@ one; the good node is the first removable node left open.  One walk per
 descent step brackets every residue at once, one run of equal rows at a
 time: a run has one addable node, at its top row, then one removable node,
 at its bottom row.
+
+A step takes the good node of every residue that has one.  All good
+children share the label's verdict, so each is recorded in the call's memo,
+and the descent goes on through the lowest good node (largest component,
+then row): that child keeps the label's upper rows, which an earlier label
+in the call has usually recorded.  About one walk per label remains.
 """
 
 
@@ -67,27 +73,40 @@ def good_node(e, classes, shifts, mp, residue):
     return (k + 1, r + 1, mp[k][r])
 
 
+def _remove(mp, k, r):
+    """`mp` without the last node of row r of component k."""
+    rows = mp[k]
+    new_len = rows[r] - 1
+    rows = rows[:r] + ((new_len,) if new_len else ()) + rows[r + 1:]
+    return mp[:k] + (rows,) + mp[k + 1:]
+
+
 def _verdict(stride, modulus, bases, mp, memo):
     # The Kleshchev labels are the crystal component of the empty
     # multipartition, and removing a good node is a crystal edge, so it
-    # never leaves or enters that component: a label is Kleshchev exactly
-    # when any one good-node descent reaches the empty multipartition.  So
-    # each step takes the first open node of the first residue that has one.
+    # never leaves or enters that component: every good child of a label
+    # has the label's verdict.  So each step puts every good child but the
+    # lowest on the chain, to be recorded when the chain resolves, and goes
+    # on from the lowest one: it keeps the label's upper rows, so an
+    # earlier label has usually recorded it already.
     chain = []
     result = memo.get(mp)
     while result is None:
         chain.append(mp)
+        lowest = None
         for nodes in _good_index(stride, modulus, bases, mp).values():
             if nodes:
-                break
-        else:
+                node = nodes[0]
+                if lowest is None:
+                    lowest = node
+                    continue
+                if node > lowest:
+                    lowest, node = node, lowest
+                chain.append(_remove(mp, *node))
+        if lowest is None:
             result = False
             break
-        k, r = nodes[0]
-        rows = mp[k]
-        new_len = rows[r] - 1
-        rows = rows[:r] + ((new_len,) if new_len else ()) + rows[r + 1:]
-        mp = mp[:k] + (rows,) + mp[k + 1:]
+        mp = _remove(mp, *lowest)
         result = memo.get(mp)
     for label in chain:
         memo[label] = result
