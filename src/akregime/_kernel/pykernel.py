@@ -16,11 +16,9 @@ descent step brackets every residue at once, one run of equal rows at a
 time: a run has one addable node, at its top row, then one removable node,
 at its bottom row.
 
-A step takes the good node of every residue that has one.  All good
-children share the label's verdict, so each is recorded in the call's memo,
-and the descent goes on through the lowest good node (largest component,
-then row): that child keeps the label's upper rows, which an earlier label
-in the call has usually recorded.  About one walk per label remains.
+Each step records every good child's verdict in the call's memo and goes
+on through the lowest good node (largest component, then row; see
+`_verdict`), so a bulk call makes about one walk per label.
 """
 
 

@@ -69,6 +69,47 @@ def test_oracle_agrees_with_fast_path_on_schemes():
             assert is_kleshchev(scheme, mp).is_kleshchev == expected, (scheme, mp)
 
 
+def _order_schemes(count, seed):
+    """Seeded (scheme, n) pairs with m <= 3, n <= 6, e = 0, small e or
+    e >= 2n - 1, and repeated and negative class labels."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 6)
+        e = rng.choice((0, rng.randint(2, 5), rng.randint(max(2, 2 * n - 1), 2 * n + 2)))
+        classes = tuple(rng.choice((-3, -1, 0, 2)) for _ in range(m))
+        shifts = tuple(rng.randint(-2 * n, 2 * n) for _ in range(m))
+        yield ParamScheme(m=m, e=e, classes=classes, shifts=shifts), n
+
+
+def test_bulk_verdicts_do_not_depend_on_label_order():
+    # A bulk call's memo also records good children nobody asked about, so
+    # a label's verdict may come from an entry an earlier label wrote.
+    # Every order must still give each label the oracle's verdict.
+    rng = random.Random(10)
+    for scheme, n in _order_schemes(300, seed=10):
+        top = list(enumerate_multipartitions(scheme.m, n))
+        mixed = [mp for size in range(n + 1) for mp in enumerate_multipartitions(scheme.m, size)]
+        children: dict = {}
+        expected = {mp: oracle_kleshchev(scheme, mp, children) for mp in mixed}
+        for order in (top, top[::-1], rng.sample(top, len(top)), rng.sample(mixed, len(mixed))):
+            bulk = _kernel.kleshchev_verdicts(scheme.e, scheme.classes, scheme.shifts, order)
+            assert bulk == [expected[mp] for mp in order], (scheme, n)
+
+
+def test_bulk_verdicts_take_about_one_walk_per_label(monkeypatch):
+    # Each walk finds every residue's good node, and the call records all
+    # of their verdicts; a descent that keeps one good child per step
+    # walks almost every label below the requested size (4.33 and 2.25
+    # walks per label here).
+    for classes, shifts, n, kleshchev in (((0,), (0,), 20, 627), ((0, 0), (0, 3), 10, 416)):
+        walks = _count_calls(monkeypatch, pykernel, "_good_index")
+        labels = enumerate_multipartitions(len(classes), n)
+        assert sum(_kernel.kleshchev_verdicts(0, classes, shifts, labels)) == kleshchev
+        assert len(walks) < 1.5 * len(labels), (classes, shifts, len(walks) / len(labels))
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize(
     "classes, shifts, n", [((0, 0), (0, 1), 4), ((0, 0, 1), (0, 1, 0), 3)]
 )
