@@ -38,7 +38,6 @@ from .structure import (
     classify_regime,
     hecke_dimension_audit,
     kz_dimensions,
-    m1_regime,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +70,6 @@ __all__ = [
     "is_kleshchev",
     "kz_dimensions",
     "lambda_family",
-    "m1_regime",
     "multipartition_count",
     "relation_exponents",
     "removable_nodes",

@@ -123,7 +123,10 @@ def multiply(algebra: BasicAlgebra, left: Combination, right: Combination) -> Co
 
 
 def associativity_violations(algebra: BasicAlgebra) -> list[tuple[int, int, int]]:
-    """All basis triples with (a*b)*c != a*(b*c); empty means associative."""
+    """All basis triples with (a*b)*c != a*(b*c); empty means associative.
+
+    Nothing in the package calls this: it stays as the independent route of
+    a tier-1 check (regular_representation_consistent is compared with it)."""
     dim = algebra.dimension
     bad = []
     for a in range(dim):

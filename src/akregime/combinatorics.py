@@ -21,20 +21,6 @@ class Node(NamedTuple):
     column: int
 
 
-def is_partition(parts) -> bool:
-    if not isinstance(parts, tuple) or not all(isinstance(p, int) for p in parts):
-        return False
-    return all(p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
-
-
-def is_multipartition(mp, m: int | None = None) -> bool:
-    if not isinstance(mp, tuple) or not all(is_partition(c) for c in mp):
-        return False
-    return m is None or len(mp) == m
-
-
 def mp_size(mp: Multipartition) -> int:
     return sum(sum(c) for c in mp)
 
@@ -110,6 +96,30 @@ def multipartition_count(m: int, n: int) -> int:
     return len(enumerate_multipartitions(m, n))
 
 
+@cache
+def multipartition_count_capped(m: int, n: int, cap: int) -> int:
+    """The number of m-multipartitions of n, or cap + 1 when it is larger,
+    found without enumerating them.
+
+    The count c(n) is the coefficient of x^n in prod_k (1 - x^k)^(-m).  The
+    product's logarithmic derivative gives n c(n) = m sum_k sigma(k) c(n - k)
+    over k = 1..n, with sigma(k) the sum of the divisors of k.  c never
+    falls as n grows, so the table stops at its first entry over cap: for
+    any m and n it has at most as many entries as c_1 = p takes to pass cap.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n < 0:
+        return 0
+    coeffs = [1]
+    sigma = [0]
+    while len(coeffs) <= n and coeffs[-1] <= cap:
+        t = len(coeffs)
+        sigma.append(sum(d for d in range(1, t + 1) if t % d == 0))
+        coeffs.append(m * sum(sigma[k] * coeffs[t - k] for k in range(1, t + 1)) // t)
+    return min(coeffs[-1], cap + 1)
+
+
 def removable_nodes(mp: Multipartition) -> tuple[Node, ...]:
     """Nodes whose removal leaves a multipartition, in (component, row) order."""
     out = []
@@ -122,7 +132,10 @@ def removable_nodes(mp: Multipartition) -> tuple[Node, ...]:
 
 
 def addable_nodes(mp: Multipartition) -> tuple[Node, ...]:
-    """Nodes whose addition yields a multipartition, in (component, row) order."""
+    """Nodes whose addition yields a multipartition, in (component, row) order.
+
+    Nothing in the package calls this: it stays as the independent route of
+    a tier-1 check (the oracle's one-pass node scan is compared with it)."""
     out = []
     for k, component in enumerate(mp, start=1):
         for r in range(1, len(component) + 2):
@@ -142,18 +155,6 @@ def remove_node(mp: Multipartition, node: Node) -> Multipartition:
         raise ValueError(f"{node} is not removable from {mp}")
     new_row = component[r - 1] - 1
     rows = component[: r - 1] + ((new_row,) if new_row else ()) + component[r:]
-    return mp[: k - 1] + (rows,) + mp[k:]
-
-
-def add_node(mp: Multipartition, node: Node) -> Multipartition:
-    k, r, c = node
-    component = mp[k - 1]
-    row_len = component[r - 1] if r <= len(component) else 0
-    if r > len(component) + 1 or c != row_len + 1:
-        raise ValueError(f"{node} is not addable to {mp}")
-    if r >= 2 and component[r - 2] <= row_len:
-        raise ValueError(f"{node} is not addable to {mp}")
-    rows = component[: r - 1] + (row_len + 1,) + component[r:]
     return mp[: k - 1] + (rows,) + mp[k:]
 
 

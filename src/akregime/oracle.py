@@ -15,9 +15,21 @@ cross-check in the test suite).
 
 Beyond m and whether e = 1, the oracle reads the parameters only through
 residues, which it compares for equality (to group nodes, or at e = 1 to
-compare class labels).  So `regime_locus` runs it once per residue pattern
-of the grid (see `_residue_pattern`), while the fast path runs at every
-point.
+compare class labels).  The fast path, `structure.classify_regime`, depends
+only on the same residue pattern (see `_residue_pattern`):
+
+- the kernel reads only the residues of nodes of labels of size <= n, and
+  their contents lie in -n..n;
+- a relation u_j = q^c u_i is the equality of component j's residue at
+  content 0 with component i's residue at content c.  The windows
+  therefore show every relation with |c| <= 2n, which covers the scan's
+  |c| < n;
+- the m = 1 branch reads e only as e = n or e = n - 1.  Each of these is
+  at most 2n, so the pattern's period fixes it, and e = 1 is a flag in the
+  pattern.
+
+So `regime_locus` runs both routes once per residue pattern of the grid,
+and only the parameter-side predictor at every point.
 
 The six content lemmas that pin down the exceptional block are exposed
 under descriptive names:
@@ -451,12 +463,14 @@ def _predicted_regime(scheme: ParamScheme, n: int) -> bool:
 
 
 def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:
-    """What oracle_kind(scheme, n) reads of the parameters: m, n, whether
-    e = 1, and the residues of contents -n..n in each component, numbered
-    in the order first met.  Node (k, r, c) has the residue of content
-    c - r in component k, and every removable or addable node of a label
-    of size <= n has its content in that window, so two schemes with equal
-    patterns group every node the oracle visits alike."""
+    """What oracle_kind(scheme, n) and classify_regime(scheme, n) read of
+    the parameters: m, n, whether e = 1, and the residues of contents
+    -n..n in each component, numbered in the order first met.  Node
+    (k, r, c) has the residue of content c - r in component k, and every
+    removable or addable node of a label of size <= n has its content in
+    that window, so two schemes with equal patterns group every node either
+    route visits alike (see the module docstring for the relation scan and
+    the m = 1 branch)."""
     numbers: dict = {}
     pattern = tuple(
         numbers.setdefault(_residue(scheme, k, 1, 1 + d), len(numbers))
@@ -469,22 +483,28 @@ def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:
 def regime_locus(grid: SweepGrid) -> list[GridPointResult]:
     """Evaluate every grid point with both routes.
 
-    fast_kind comes from structure.classify_regime at every point;
-    predicted_regime is the parameter-side condition set.  oracle_kind
-    comes from the naive recursion, run once per `_residue_pattern`: the
-    oracle reads residues only to group nodes and (at e = 1) to compare
-    class labels, so points with one pattern have one simple count.  The
-    pattern-to-kind dict lives for this call only.  Disagreements are
-    recorded, never suppressed.
+    fast_kind comes from structure.classify_regime and oracle_kind from the
+    naive recursion, each run once per `_residue_pattern` and reused at the
+    pattern's later points.  Both depend on the pattern alone: the kernel
+    and the oracle see only residues of contents -n..n, the windows show
+    every relation u_j = q^c u_i with |c| <= 2n (the fast path scans
+    |c| < n), and the m = 1 branch reads e only as e = n or e = n - 1, which
+    the pattern's period fixes.  predicted_regime, the parameter-side
+    condition set, is evaluated at every point.  The pattern-to-kinds dict
+    lives for this call only.  Disagreements are recorded, never
+    suppressed.
     """
     rows = []
     kinds: dict = {}
     for m, n, scheme in grid_points(grid):
-        fast_kind = structure.classify_regime(scheme, n).kind
         pattern = _residue_pattern(scheme, n)
-        naive_kind = kinds.get(pattern)
-        if naive_kind is None:
-            naive_kind = kinds[pattern] = oracle_kind(scheme, n)
+        pair = kinds.get(pattern)
+        if pair is None:
+            pair = kinds[pattern] = (
+                structure.classify_regime(scheme, n).kind,
+                oracle_kind(scheme, n),
+            )
+        fast_kind, naive_kind = pair
         predicted = _predicted_regime(scheme, n)
         rows.append(
             GridPointResult(

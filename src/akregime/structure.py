@@ -272,20 +272,3 @@ def hecke_dimension_audit(
     )
     return total, expected
 
-
-def m1_regime(e: int, n: int) -> tuple[bool, int]:
-    """m = 1 branch: simple modules are indexed by e-restricted partitions
-    (all partitions when e = 0); the almost-semisimple regime is count =
-    p(n) - 1, which happens at e = n and, for n >= 3, also at e = n - 1
-    (only the single row has a part gap that large)."""
-    if e == 0:
-        count = len(partitions(n))
-    else:
-        count = sum(1 for p in partitions(n) if _e_restricted(p, e))
-    return count == len(partitions(n)) - 1, count
-
-
-def _e_restricted(p: tuple[int, ...], e: int) -> bool:
-    return all(
-        p[i] - (p[i + 1] if i + 1 < len(p) else 0) < e for i in range(len(p))
-    )

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,44 @@ def test_bad_grid_exit_code(grid, key, capsys):
     assert status == 1
     assert out == ""
     assert f"{key!r}" in capsys.readouterr().err
+
+
+OVER_BUDGET = "over-budget: m=3, n=30 has more than 350000 labels"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [verb, "--m", "3", "--n", "30", "--scheme", "e=0;class=0,0,0;shift=0,1,3"]
+        for verb in ("count-simples", "classify", "blocks", "block-structure", "audit")
+    ]
+    + [
+        ["classify", "--kappa", "m=3;n=30;kappa00=1/2;kappa=0,1/3"],
+        ["sweep", "--grid", "m=1,3;n=2,30"],
+    ],
+    ids=lambda argv: argv[0] + ("-kappa" if "--kappa" in argv else ""),
+)
+def test_oversized_input_exits_1_before_enumerating(argv, capsys, monkeypatch):
+    # m = 3, n = 30 has 16,790,136 labels; the count comes from the
+    # generating function, so the refusal costs no enumeration.
+    def refuse(m, n):
+        raise AssertionError(f"enumerated m={m}, n={n}")
+
+    monkeypatch.setattr(cli.oracle, "enumerate_multipartitions", refuse)
+    monkeypatch.setattr(akregime.simples, "enumerate_multipartitions", refuse)
+    started = time.perf_counter()
+    status, out = invoke(*argv, "--format", "machine")
+    assert time.perf_counter() - started < 0.5
+    assert (status, out) == (1, "")
+    assert f"error: {OVER_BUDGET} (m-multipartitions of n)" in capsys.readouterr().err
+
+
+def test_label_limit_admits_m3_n20():
+    # The limit is set from m = 3, n = 20 (341,649 labels): that point runs,
+    # the next n does not.
+    cli._check_budget(3, 20)
+    with pytest.raises(ValueError, match="m=3, n=21 has more than 350000 labels"):
+        cli._check_budget(3, 21)
 
 
 def test_block_structure_outside_regime_exit_code():

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from akregime.combinatorics import (
-    add_node,
     addable_nodes,
     dim_irrep,
     enumerate_multipartitions,
-    is_multipartition,
     mp_size,
     multipartition_count,
+    multipartition_count_capped,
     partitions,
     removable_nodes,
     remove_node,
@@ -41,6 +40,32 @@ def gf_multipartition_count(m, n):
             for total in range(n + 1)
         ]
     return coeffs[n]
+
+
+def is_partition(parts):
+    if not isinstance(parts, tuple) or not all(isinstance(p, int) for p in parts):
+        return False
+    return all(p >= 1 for p in parts) and all(
+        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
+    )
+
+
+def is_multipartition(mp, m=None):
+    if not isinstance(mp, tuple) or not all(is_partition(c) for c in mp):
+        return False
+    return m is None or len(mp) == m
+
+
+def add_node(mp, node):
+    k, r, c = node
+    component = mp[k - 1]
+    row_len = component[r - 1] if r <= len(component) else 0
+    if r > len(component) + 1 or c != row_len + 1:
+        raise ValueError(f"{node} is not addable to {mp}")
+    if r >= 2 and component[r - 2] <= row_len:
+        raise ValueError(f"{node} is not addable to {mp}")
+    rows = component[: r - 1] + (row_len + 1,) + component[r:]
+    return mp[: k - 1] + (rows,) + mp[k:]
 
 
 def syt_by_backtracking(shape):
@@ -109,6 +134,18 @@ def test_enumeration_matches_generating_function(m, n):
     assert len(set(mps)) == len(mps)
     assert all(is_multipartition(mp, m) and mp_size(mp) == n for mp in mps)
     assert multipartition_count(m, n) == len(mps)
+    for cap in (len(mps) - 1, len(mps), 10**9):
+        assert multipartition_count_capped(m, n, cap) == min(len(mps), cap + 1)
+
+
+def test_capped_count_stops_at_the_cap():
+    # 341,649 labels at m = 3, n = 20.  The table stops at its first entry
+    # over the cap, so a huge m or n costs no more than p passing it.
+    assert multipartition_count_capped(3, 20, 10**6) == gf_multipartition_count(3, 20)
+    assert multipartition_count_capped(3, 20, 341_648) == 341_649
+    assert multipartition_count_capped(3, 10**12, 1000) == 1001
+    assert multipartition_count_capped(10**12, 10**12, 1000) == 1001
+    assert multipartition_count_capped(2, -1, 10) == 0
 
 
 def test_partitions_descending_order():

@@ -29,7 +29,7 @@ from akregime.oracle import (
 )
 from akregime.params import ParamScheme, relation_exponents
 from akregime.simples import good_node, is_kleshchev, simple_count
-from akregime.structure import classify_regime
+from akregime.structure import InconsistentRegimeError, classify_regime
 
 REGIME_M2 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1))
 REGIME_M3 = ParamScheme(m=3, e=0, classes=(0, 1, 1), shifts=(0, 2, 0))
@@ -360,6 +360,35 @@ def test_oracle_count_depends_only_on_residue_pattern():
     assert len(first) < 1500  # the schemes do share patterns
 
 
+def _fast_result(scheme, n):
+    try:
+        report = classify_regime(scheme, n)
+    except InconsistentRegimeError:
+        return InconsistentRegimeError
+    return report.kind, report.simple_count, report.witness, report.non_kleshchev
+
+
+def test_fast_path_depends_only_on_residue_pattern():
+    # regime_locus runs classify_regime once per pattern too and reuses its
+    # kind, so schemes sharing a pattern must get the same report, or both
+    # raise.  A relation scan over |c| <= 2n + 1 (bound 2 * n + 2 passed to
+    # relation_exponents in _verify_regime_facts) reads the shifts beyond
+    # what the -n..n windows show and fails here (19 mismatches); a scan
+    # over |c| <= n + 1 does not, since the windows see every relation with
+    # |c| <= 2n.
+    first: dict = {}
+    mismatches = []
+    for scheme, n in _random_schemes(3000, seed=8):
+        result = _fast_result(scheme, n)
+        pattern = _residue_pattern(scheme, n)
+        if first.setdefault(pattern, (result, scheme))[0] != result:
+            mismatches.append((n, scheme.describe(), first[pattern][1].describe()))
+    assert mismatches == []
+    assert len(first) == 999  # the 3000 schemes share patterns
+    reports = [result for result, _ in first.values() if result is not InconsistentRegimeError]
+    assert len({report[2] for report in reports if report[2] is not None}) > 10
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -376,22 +405,25 @@ def test_regime_locus_runs_oracle_once_per_pattern(monkeypatch):
     fast = _count_calls(monkeypatch, structure, "classify_regime")
     naive = _count_calls(monkeypatch, oracle, "oracle_kind")
     rows = regime_locus(SweepGrid())
-    assert len(rows) == len(fast) == 4151
-    assert len(naive) == 1309
-    assert len({_residue_pattern(*args) for args in naive}) == 1309
+    assert len(rows) == 4151
+    assert len(fast) == len(naive) == 1309
+    fast_patterns = {_residue_pattern(*args) for args in fast}
+    assert len(fast_patterns) == 1309
+    assert fast_patterns == {_residue_pattern(*args) for args in naive}
 
 
 def test_planted_fast_kind_shows_at_a_reused_pattern(monkeypatch):
-    # A wrong fast kind at a point whose oracle kind is reused from an
-    # earlier point of its pattern must still count as a disagreement.
+    # A wrong fast kind at the first point of a pattern that has more
+    # points is reused at each of them, so every row of the pattern, and
+    # only those, must count as a disagreement against the oracle's kind.
     grid = SweepGrid(m_values=(2,), n_values=(3,))
-    seen = set()
+    points: dict = {}
     for _, n, scheme in grid_points(grid):
-        pattern = _residue_pattern(scheme, n)
-        if pattern in seen:
-            planted = scheme
-            break
-        seen.add(pattern)
+        points.setdefault(_residue_pattern(scheme, n), []).append(scheme)
+    planted_pattern, schemes = next(
+        (pattern, schemes) for pattern, schemes in points.items() if len(schemes) > 1
+    )
+    planted = schemes[0]
     classify = structure.classify_regime
 
     def plant(scheme, n):
@@ -402,10 +434,11 @@ def test_planted_fast_kind_shows_at_a_reused_pattern(monkeypatch):
 
     monkeypatch.setattr(structure, "classify_regime", plant)
     rows = regime_locus(grid)
-    assert locus_summary(rows)["disagreements"] == 1
-    (row,) = [row for row in rows if not row.agree]
-    assert row.scheme == planted
-    assert row.oracle_kind == oracle_kind(planted, row.n)
+    wrong = [row for row in rows if not row.agree]
+    assert locus_summary(rows)["disagreements"] == len(schemes)
+    assert [row.scheme for row in wrong] == schemes
+    assert all(_residue_pattern(row.scheme, row.n) == planted_pattern for row in wrong)
+    assert {row.oracle_kind for row in wrong} == {oracle_kind(planted, 3)}
 
 
 def test_predicted_regime_is_one_relation_of_size_n_minus_1():

