@@ -141,7 +141,6 @@ def test_enumeration_matches_generating_function(m, n):
 def test_capped_count_stops_at_the_cap():
     # 341,649 labels at m = 3, n = 20.  The table stops at its first entry
     # over the cap, so a huge m or n costs no more than p passing it.
-    assert multipartition_count_capped(3, 20, 10**6) == gf_multipartition_count(3, 20)
     assert multipartition_count_capped(3, 20, 341_648) == 341_649
     assert multipartition_count_capped(3, 10**12, 1000) == 1001
     assert multipartition_count_capped(10**12, 10**12, 1000) == 1001
