@@ -19,7 +19,10 @@ Each verb takes only its own options: the point verbs --m, --n, --scheme,
 
 Before any enumeration, each point verb, and `sweep --grid` for each of
 its (m, n), counts the m-multipartitions of n by generating function and
-exits 1 when there are more than LABEL_LIMIT.
+exits 1 when there are more than LABEL_LIMIT.  `sweep` then counts its
+grid points per (m, n) and exits 1 when points times labels, summed over
+the grid, is more than GRID_LIMIT.  `bn-algebra` exits 1 when n is more
+than BN_LIMIT, before building B(n).
 
 When the reader of stdout goes away (`... | head -1`), `main` exits 1
 without a traceback.
@@ -60,6 +63,20 @@ DOMAIN_ERRORS = (
 # 2-vCPU Xeon; m = 3, n = 21 has 521,196.
 LABEL_LIMIT = 350_000
 
+# The most label-points (each grid point's label count, summed over the
+# grid) one sweep may have; the default grid has 148,806.  What a
+# label-point costs grows with n.  On a 2-vCPU Xeon the default grid swept
+# in 0.75 s, m=3;n=5 (419,580) in 1.3 s, m=1;n=30 (347,448) in 21 s and
+# m=1;n=34 (861,700) in 63 s with 75 MB peak RSS.  m=3;n=20 has about
+# 4.9e10.
+GRID_LIMIT = 1_000_000
+
+# The largest n bn-algebra builds: B(n) has dimension 4n - 2, and its
+# product table and the regular-representation check are dense.  n = 50
+# took 0.73 s and 82 MB peak RSS in process on a 2-vCPU Xeon, n = 60
+# 1.10 s and 130 MB, n = 100 4.05 s and 526 MB.
+BN_LIMIT = 50
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are domain errors, exit 1
@@ -96,6 +113,22 @@ def _check_budget(m: int, n: int) -> None:
         raise ValueError(
             f"over-budget: m={m}, n={n} has more than {LABEL_LIMIT} labels "
             f"(m-multipartitions of n), the limit for one point"
+        )
+
+
+def _check_grid_budget(grid: oracle.SweepGrid) -> None:
+    # Each (m, n) is checked first, so every label count below is exact.
+    for m in grid.m_values:
+        for n in grid.n_values:
+            _check_budget(m, n)
+    label_points = sum(
+        points * multipartition_count_capped(m, n, LABEL_LIMIT)
+        for m, n, points in oracle.grid_point_counts(grid)
+    )
+    if label_points > GRID_LIMIT:
+        raise ValueError(
+            f"over-budget: the grid has {label_points} label-points (each point's "
+            f"labels, summed over the grid), more than {GRID_LIMIT}, the limit for one sweep"
         )
 
 
@@ -218,6 +251,8 @@ def _cmd_block_structure(args, out) -> int:
 def _cmd_bn_algebra(args, out) -> int:
     if args.n is None:
         raise SchemeParseError("bn-algebra requires --n")
+    if args.n > BN_LIMIT:
+        raise ValueError(f"over-budget: n={args.n} is more than {BN_LIMIT}, the limit for B(n)")
     algebra = bn_mod.build_bn(args.n)
     consistent = bn_mod.regular_representation_consistent(algebra)
     pairs = [
@@ -236,9 +271,7 @@ def _cmd_bn_algebra(args, out) -> int:
 
 def _cmd_sweep(args, out) -> int:
     grid = _parse_grid(args.grid) if args.grid else oracle.SweepGrid()
-    for m in grid.m_values:
-        for n in grid.n_values:
-            _check_budget(m, n)
+    _check_grid_budget(grid)
     rows = oracle.regime_locus(grid)
     summary = oracle.locus_summary(rows)
     if args.format == "machine":

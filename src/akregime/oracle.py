@@ -6,8 +6,12 @@ multisets, and the parameter-relation scans.  A label's removable and
 addable nodes are found, grouped by residue, in one top-to-bottom pass over
 each component, and the normal and good nodes are then read off that
 grouping by the definition.  The Kleshchev search tree is walked in full
-for every label (no verdict is memoized); only each label's good-node
-children are computed once per scheme.  None of it calls into
+for every label it reads (no verdict is memoized); only each label's
+good-node children are computed once per scheme.  `oracle_simple_count`
+reads every label.  `oracle_kind` stops at the second non-Kleshchev label:
+the kind only tells 0, 1 or at least 2 misses apart, and a second miss
+already rules out the N - 1 simples of the almost-semisimple regime,
+whatever the later labels are.  None of it calls into
 the kernel, simples or blocks, so agreement between this module and the
 fast path is a genuine two-route check.  Only the multipartition
 enumeration is shared plumbing (it has its own generating-function
@@ -168,22 +172,36 @@ def _q1_nonzero(scheme: ParamScheme, mp: Multipartition) -> bool:
     return True
 
 
-def oracle_simple_count(scheme: ParamScheme, n: int) -> int:
+def _label_verdicts(scheme: ParamScheme, n: int):
+    """Whether each m-multipartition of n indexes a simple module, in
+    canonical label order: the q = 1 criterion at e = 1, otherwise the
+    Kleshchev recursion with one `children` dict shared by every label."""
     mps = enumerate_multipartitions(scheme.m, n)
     if scheme.e == 1:
-        return sum(1 for mp in mps if _q1_nonzero(scheme, mp))
+        return (_q1_nonzero(scheme, mp) for mp in mps)
     children: dict = {}
-    return sum(1 for mp in mps if oracle_kleshchev(scheme, mp, children))
+    return (oracle_kleshchev(scheme, mp, children) for mp in mps)
+
+
+def oracle_simple_count(scheme: ParamScheme, n: int) -> int:
+    return sum(_label_verdicts(scheme, n))
 
 
 def oracle_kind(scheme: ParamScheme, n: int) -> str:
-    total = len(enumerate_multipartitions(scheme.m, n))
-    count = oracle_simple_count(scheme, n)
-    if count == total:
-        return SEMISIMPLE
-    if count == total - 1:
-        return ALMOST_SEMISIMPLE
-    return OTHER
+    """SEMISIMPLE when every label indexes a simple module, ALMOST_SEMISIMPLE
+    when exactly one does not, OTHER otherwise.
+
+    The labels are read in canonical order only until the second that is
+    not Kleshchev: two misses already mean at most N - 2 simples, and no
+    later verdict can raise the count back.  Without a second miss every
+    label has been read, so 0 or 1 misses is the exact count."""
+    misses = 0
+    for simple in _label_verdicts(scheme, n):
+        if not simple:
+            misses += 1
+            if misses == 2:
+                return OTHER
+    return SEMISIMPLE if misses == 0 else ALMOST_SEMISIMPLE
 
 
 def _relations_window(scheme: ParamScheme, bound: int):
@@ -422,13 +440,45 @@ def _shift_tuples(m: int, n: int, e: int) -> list[tuple[int, ...]]:
     return [shifts for shifts in product(range(2 * n), repeat=m) if min(shifts) == 0]
 
 
+def _class_tuple_count(m: int, patterns) -> int:
+    """len(_class_tuples(m, patterns)) without building the tuples, which
+    at m = 800 would be 319,602 tuples of 800 entries: the all-same and
+    all-distinct tuples coincide at m = 1, and at m = 2 the one merged pair
+    is the all-same tuple."""
+    same = "all-same" in patterns
+    count = same + ("all-distinct" in patterns and not (same and m == 1))
+    if "one-merged-pair" in patterns and m >= 2:
+        count += m * (m - 1) // 2 - (same and m == 2)
+    return count
+
+
+def _shift_tuple_count(m: int, n: int, e: int) -> int:
+    """len(_shift_tuples(m, n, e)) without listing them: e^(m-1) tuples
+    start with 0, and (2n)^m - (2n-1)^m tuples of range(2n)^m contain 0."""
+    if e >= 1:
+        return e ** (m - 1)
+    return (2 * n) ** m - (2 * n - 1) ** m
+
+
+def _e_values(grid: SweepGrid, n: int):
+    return grid.e_values if grid.e_values is not None else range(2 * n + 2)
+
+
+def grid_point_counts(grid: SweepGrid):
+    """(m, n, points) for each (m, n) of the grid, in grid order: how many
+    points `grid_points` yields there, from counts alone."""
+    for m in grid.m_values:
+        classes = _class_tuple_count(m, grid.class_patterns)
+        for n in grid.n_values:
+            yield m, n, classes * sum(_shift_tuple_count(m, n, e) for e in _e_values(grid, n))
+
+
 def grid_points(grid: SweepGrid):
     """Deterministic stream of (m, n, ParamScheme) over the grid, with
     shift tuples deduplicated by global translation."""
     for m in grid.m_values:
         for n in grid.n_values:
-            e_values = grid.e_values if grid.e_values is not None else range(2 * n + 2)
-            for e in e_values:
+            for e in _e_values(grid, n):
                 shift_tuples = _shift_tuples(m, n, e)
                 for classes in _class_tuples(m, grid.class_patterns):
                     for shifts in shift_tuples:

@@ -14,6 +14,7 @@ import pytest
 import akregime
 from akregime import cli
 from akregime.cli import build_parser, format_matrix, format_multipartition, run
+from akregime.combinatorics import multipartition_count
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -226,6 +227,57 @@ def test_label_limit_admits_m3_n20():
     cli._check_budget(3, 20)
     with pytest.raises(ValueError, match="m=3, n=21 has more than 350000 labels"):
         cli._check_budget(3, 21)
+
+
+def test_bn_algebra_over_limit_exits_1_before_building(capsys, monkeypatch):
+    # n = 100 took 4 s and 526 MB; the limit n = 50 took 0.73 s and 82 MB.
+    built = []
+    small = akregime.bn.build_bn(2)
+
+    def build(n):
+        built.append(n)
+        return small
+
+    monkeypatch.setattr(akregime.bn, "build_bn", build)
+    started = time.perf_counter()
+    status, out = invoke("bn-algebra", "--n", "51", "--format", "machine")
+    assert time.perf_counter() - started < 1.0
+    assert (status, out, built) == (1, "", [])
+    assert "error: over-budget: n=51 is more than 50, the limit for B(n)" in capsys.readouterr().err
+    status, _ = invoke("bn-algebra", "--n", "50")
+    assert (status, built) == (0, [50])
+
+
+@pytest.mark.parametrize(
+    "text, points, label_points",
+    [(None, 4151, 148_806), ("m=1,2;n=2,3", 136, 1036), ("m=1;n=34", 70, 861_700)],
+)
+def test_grid_budget_admits(text, points, label_points):
+    # The budget counts; the points are listed here, and each is charged
+    # its own label count.
+    grid = cli._parse_grid(text) if text else akregime.oracle.SweepGrid()
+    listed = [(m, n) for m, n, _ in akregime.oracle.grid_points(grid)]
+    assert len(listed) == points
+    assert sum(multipartition_count(m, n) for m, n in listed) == label_points
+    cli._check_grid_budget(grid)
+
+
+@pytest.mark.parametrize(
+    "text, label_points", [("m=3;n=20", 48_688_398_990), ("m=1;n=35", 1_071_576)]
+)
+def test_grid_over_budget_exits_1_at_once(text, label_points, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(akregime.oracle, "grid_points", refuse)
+    monkeypatch.setattr(akregime.oracle, "regime_locus", refuse)
+    started = time.perf_counter()
+    status, out = invoke("sweep", "--grid", text, "--format", "machine")
+    assert time.perf_counter() - started < 0.5
+    assert (status, out) == (1, "")
+    err = capsys.readouterr().err
+    assert f"error: over-budget: the grid has {label_points} label-points" in err
+    assert "more than 1000000, the limit for one sweep" in err
 
 
 def test_block_structure_outside_regime_exit_code():

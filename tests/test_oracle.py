@@ -1,6 +1,7 @@
 import dataclasses
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -18,6 +19,7 @@ from akregime.oracle import (
     _residue,
     _residue_pattern,
     _shift_tuples,
+    grid_point_counts,
     grid_points,
     locus_summary,
     oracle_good_node,
@@ -171,6 +173,57 @@ def test_oracle_kind_does_not_use_the_kernel(monkeypatch):
     assert oracle_kind(ParamScheme(m=1, e=2, classes=(0,), shifts=(0,)), 4) == OTHER
 
 
+def _kind_from_count(scheme, n):
+    total = len(enumerate_multipartitions(scheme.m, n))
+    count = oracle_simple_count(scheme, n)
+    return {total: SEMISIMPLE, total - 1: ALMOST_SEMISIMPLE}.get(count, OTHER)
+
+
+def test_oracle_kind_matches_full_count():
+    # oracle_kind stops at the second non-Kleshchev label; the kind read
+    # off the full count must be the same.  Stopping at the first miss
+    # turns every almost-semisimple point into `other` here.
+    rng = random.Random(12)
+    schemes = [(REGIME_M2, 3), (REGIME_M3, 4)]
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        e = rng.choice((0, 1, rng.randint(2, n + 1), rng.randint(2 * n - 1, 2 * n + 3)))
+        classes = tuple(rng.randrange(m) for _ in range(m))
+        shifts = tuple(rng.randint(-n, n) for _ in range(m))
+        schemes.append((ParamScheme(m=m, e=e, classes=classes, shifts=shifts), n))
+    kinds = []
+    for scheme, n in schemes:
+        kind = oracle_kind(scheme, n)
+        assert kind == _kind_from_count(scheme, n), (scheme.describe(), n)
+        kinds.append(kind)
+    assert {kind: kinds.count(kind) > 10 for kind in (SEMISIMPLE, ALMOST_SEMISIMPLE, OTHER)} == {
+        SEMISIMPLE: True, ALMOST_SEMISIMPLE: True, OTHER: True,
+    }
+
+
+def test_oracle_kind_stops_at_the_second_miss(monkeypatch):
+    # Every top-level verdict oracle_kind reads passes through the counter.
+    # At this `other` point most labels are not Kleshchev, so the scan must
+    # end at the second miss, well before the last label.
+    scheme, n = ParamScheme(m=2, e=2, classes=(0, 0), shifts=(0, 0)), 4
+    total = len(enumerate_multipartitions(scheme.m, n))
+    assert total - oracle_simple_count(scheme, n) >= 3
+    read = []
+    verdicts = oracle._label_verdicts
+
+    def counted(*args):
+        for verdict in verdicts(*args):
+            read.append(verdict)
+            yield verdict
+
+    monkeypatch.setattr(oracle, "_label_verdicts", counted)
+    assert oracle_kind(scheme, n) == OTHER
+    assert read.count(False) == 2
+    assert read[-1] is False
+    assert len(read) < total
+
+
 def test_oracle_good_node_agrees():
     schemes = [
         (REGIME_M2, 3),
@@ -238,6 +291,22 @@ def test_shift_tuples_match_brute_force_canonicalisation(m):
             every = product(range(e or 2 * n), repeat=m)
             expected = list(dict.fromkeys(_canonical_shift(s, e) for s in every))
             assert _shift_tuples(m, n, e) == expected, (m, n, e)
+
+
+def test_grid_point_counts_match_the_points():
+    # The sweep's budget counts points without listing them; the counts
+    # must be those of grid_points, for every subset of class patterns.
+    patterns = SweepGrid().class_patterns
+    for size in range(len(patterns) + 1):
+        for subset in combinations(patterns, size):
+            grid = SweepGrid(m_values=(1, 2, 3, 4), n_values=(1, 2, 3), class_patterns=subset)
+            listed = Counter((m, n) for m, n, _ in grid_points(grid))
+            counted = {(m, n): points for m, n, points in grid_point_counts(grid) if points}
+            assert counted == listed, subset
+    grid = SweepGrid(m_values=(3,), n_values=(2, 4), e_values=(0, 1, 7))
+    counted = {(m, n): points for m, n, points in grid_point_counts(grid)}
+    assert counted == Counter((m, n) for m, n, _ in grid_points(grid))
+    assert sum(points for _, _, points in grid_point_counts(SweepGrid())) == 4151
 
 
 @pytest.mark.parametrize(
