@@ -121,15 +121,14 @@ def _check_grid_budget(grid: oracle.SweepGrid) -> None:
     for m in grid.m_values:
         for n in grid.n_values:
             _check_budget(m, n)
-    label_points = sum(
-        points * multipartition_count_capped(m, n, LABEL_LIMIT)
-        for m, n, points in oracle.grid_point_counts(grid)
-    )
-    if label_points > GRID_LIMIT:
-        raise ValueError(
-            f"over-budget: the grid has {label_points} label-points (each point's "
-            f"labels, summed over the grid), more than {GRID_LIMIT}, the limit for one sweep"
-        )
+    label_points = 0
+    for m, n, points in oracle.grid_point_counts(grid, GRID_LIMIT):
+        label_points += points * multipartition_count_capped(m, n, LABEL_LIMIT)
+        if label_points > GRID_LIMIT:
+            raise ValueError(
+                f"over-budget: the grid's label-points (each point's labels, summed "
+                f"over the grid) pass {GRID_LIMIT}, the limit for one sweep, at m={m}, n={n}"
+            )
 
 
 def _resolve_params(args) -> tuple[ParamScheme, int, KappaInput | None]:

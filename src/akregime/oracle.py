@@ -452,9 +452,14 @@ def _class_tuple_count(m: int, patterns) -> int:
     return count
 
 
-def _shift_tuple_count(m: int, n: int, e: int) -> int:
-    """len(_shift_tuples(m, n, e)) without listing them: e^(m-1) tuples
-    start with 0, and (2n)^m - (2n-1)^m tuples of range(2n)^m contain 0."""
+def _shift_tuple_count(m: int, n: int, e: int, cap: int) -> int:
+    """len(_shift_tuples(m, n, e)) without listing them, or cap + 1 when it
+    is surely larger: e^(m-1) tuples start with 0, and (2n)^m - (2n-1)^m
+    tuples of range(2n)^m contain 0.  Either count is at least base^(m-1)
+    for base e or 2n, so a power with more bits than cap is not taken."""
+    base = e if e >= 1 else 2 * n
+    if (m - 1) * (base.bit_length() - 1) > cap.bit_length():
+        return cap + 1
     if e >= 1:
         return e ** (m - 1)
     return (2 * n) ** m - (2 * n - 1) ** m
@@ -464,13 +469,15 @@ def _e_values(grid: SweepGrid, n: int):
     return grid.e_values if grid.e_values is not None else range(2 * n + 2)
 
 
-def grid_point_counts(grid: SweepGrid):
+def grid_point_counts(grid: SweepGrid, cap: int):
     """(m, n, points) for each (m, n) of the grid, in grid order: how many
-    points `grid_points` yields there, from counts alone."""
+    points `grid_points` yields there, from counts alone.  A count over cap
+    may be reported as any number over cap."""
     for m in grid.m_values:
         classes = _class_tuple_count(m, grid.class_patterns)
         for n in grid.n_values:
-            yield m, n, classes * sum(_shift_tuple_count(m, n, e) for e in _e_values(grid, n))
+            shifts = sum(_shift_tuple_count(m, n, e, cap) for e in _e_values(grid, n))
+            yield m, n, classes * shifts
 
 
 def grid_points(grid: SweepGrid):

@@ -263,9 +263,18 @@ def test_grid_budget_admits(text, points, label_points):
 
 
 @pytest.mark.parametrize(
-    "text, label_points", [("m=3;n=20", 48_688_398_990), ("m=1;n=35", 1_071_576)]
+    "text, where",
+    [
+        ("m=3;n=20", "m=3, n=20"),  # about 4.9e10 label-points
+        ("m=1;n=35", "m=1, n=35"),  # 1,071,576
+        ("m=1,2;n=2,3,14", "m=2, n=14"),  # passes up to m = 2, n = 3
+        ("m=350000;n=1", "m=350000, n=1"),  # 2^350000 - 1 shift tuples at e = 0
+        # e^(m-1) would take seconds to raise: 26.6M bits
+        ("m=2000;n=1;e=1" + "0" * 4000, "m=2000, n=1"),
+    ],
+    ids=["m3-n20", "m1-n35", "m2-n14", "m350000", "e-4001-digits"],
 )
-def test_grid_over_budget_exits_1_at_once(text, label_points, capsys, monkeypatch):
+def test_grid_over_budget_exits_1_at_once(text, where, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the sweep started")
 
@@ -276,8 +285,10 @@ def test_grid_over_budget_exits_1_at_once(text, label_points, capsys, monkeypatc
     assert time.perf_counter() - started < 0.5
     assert (status, out) == (1, "")
     err = capsys.readouterr().err
-    assert f"error: over-budget: the grid has {label_points} label-points" in err
-    assert "more than 1000000, the limit for one sweep" in err
+    assert err == (
+        "error: over-budget: the grid's label-points (each point's labels, summed "
+        f"over the grid) pass 1000000, the limit for one sweep, at {where}\n"
+    )
 
 
 def test_block_structure_outside_regime_exit_code():

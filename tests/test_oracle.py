@@ -197,9 +197,8 @@ def test_oracle_kind_matches_full_count():
         kind = oracle_kind(scheme, n)
         assert kind == _kind_from_count(scheme, n), (scheme.describe(), n)
         kinds.append(kind)
-    assert {kind: kinds.count(kind) > 10 for kind in (SEMISIMPLE, ALMOST_SEMISIMPLE, OTHER)} == {
-        SEMISIMPLE: True, ALMOST_SEMISIMPLE: True, OTHER: True,
-    }
+    counts = Counter(kinds)
+    assert min(counts[kind] for kind in (SEMISIMPLE, ALMOST_SEMISIMPLE, OTHER)) > 10, counts
 
 
 def test_oracle_kind_stops_at_the_second_miss(monkeypatch):
@@ -301,12 +300,12 @@ def test_grid_point_counts_match_the_points():
         for subset in combinations(patterns, size):
             grid = SweepGrid(m_values=(1, 2, 3, 4), n_values=(1, 2, 3), class_patterns=subset)
             listed = Counter((m, n) for m, n, _ in grid_points(grid))
-            counted = {(m, n): points for m, n, points in grid_point_counts(grid) if points}
+            counted = {(m, n): points for m, n, points in grid_point_counts(grid, 10**9) if points}
             assert counted == listed, subset
     grid = SweepGrid(m_values=(3,), n_values=(2, 4), e_values=(0, 1, 7))
-    counted = {(m, n): points for m, n, points in grid_point_counts(grid)}
+    counted = {(m, n): points for m, n, points in grid_point_counts(grid, 10**9)}
     assert counted == Counter((m, n) for m, n, _ in grid_points(grid))
-    assert sum(points for _, _, points in grid_point_counts(SweepGrid())) == 4151
+    assert sum(points for _, _, points in grid_point_counts(SweepGrid(), 10**6)) == 4151
 
 
 @pytest.mark.parametrize(
