@@ -4,7 +4,7 @@ regime detection, and the parameter-independent basic block algebra."""
 
 from ._kernel import BACKEND as KERNEL_BACKEND
 from .blocks import BlockPartition, block_partition, content, lambda_family
-from .bn import BasicAlgebra, build_bn, verify_parameter_independence
+from .bn import BasicAlgebra, build_bn
 from .combinatorics import (
     Multipartition,
     Node,
@@ -76,5 +76,4 @@ __all__ = [
     "residue_of",
     "scheme_from_kappa",
     "simple_count",
-    "verify_parameter_independence",
 ]

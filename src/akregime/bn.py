@@ -20,10 +20,6 @@ from dataclasses import dataclass
 Combination = tuple[tuple[int, int], ...]  # ((basis index, coefficient), ...)
 
 
-class SizeMismatchError(ValueError):
-    """Instances with different block sizes cannot be compared: "size-mismatch"."""
-
-
 @dataclass(frozen=True)
 class BasicAlgebra:
     n: int
@@ -194,18 +190,3 @@ def regular_representation_consistent(algebra: BasicAlgebra) -> bool:
                 return False
     return True
 
-
-def verify_parameter_independence(instance_a, instance_b) -> bool:
-    """True iff two almost-semisimple instances carry the same block-level
-    matrices.  Their basic algebras then agree as well: B(n) depends on n
-    alone by construction.  Raises on different block sizes."""
-    if instance_a.n != instance_b.n:
-        raise SizeMismatchError("size-mismatch")
-    return (
-        instance_a.decomposition == instance_b.decomposition
-        and instance_a.cartan == instance_b.cartan
-        and instance_a.hom_dims == instance_b.hom_dims
-        and instance_a.kz_dims == instance_b.kz_dims
-        and instance_a.pkz_multiplicities == instance_b.pkz_multiplicities
-        and instance_a.exterior_dims == instance_b.exterior_dims
-    )

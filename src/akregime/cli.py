@@ -35,11 +35,10 @@ import sys
 
 from . import bn as bn_mod
 from . import oracle, structure
-from .blocks import BadWitnessError, QOneBlocksError, block_partition, lambda_family
+from .blocks import BadWitnessError, block_partition
 from .combinatorics import Multipartition, multipartition_count, multipartition_count_capped
 from .params import (
     KappaInput,
-    NoWitnessError,
     ParamScheme,
     SchemeParseError,
     parse_kappa,
@@ -48,14 +47,6 @@ from .params import (
 )
 from .simples import simple_count
 from .structure import InconsistentRegimeError
-
-DOMAIN_ERRORS = (
-    SchemeParseError,
-    QOneBlocksError,
-    BadWitnessError,
-    NoWitnessError,
-    ValueError,
-)
 
 
 # The most labels one (m, n) may have: m = 3, n = 20 has 341,649, and its
@@ -212,12 +203,17 @@ def _cmd_blocks(args, out) -> int:
     return 0
 
 
-def _cmd_block_structure(args, out) -> int:
+def _regime_point(args) -> tuple[structure.RegimeReport, ParamScheme, int]:
+    """The classified point; outside the almost-semisimple regime it is bad input."""
     scheme, n, kappa = _resolve_params(args)
     report = structure.classify_regime(scheme, n, kappa=kappa)
     if report.kind != structure.ALMOST_SEMISIMPLE:
         raise BadWitnessError(f"bad-witness: point is {report.kind}")
-    bs = structure.block_structure(report, scheme, n)
+    return report, scheme, n
+
+
+def _cmd_block_structure(args, out) -> int:
+    bs = structure.block_structure(*_regime_point(args))
     pairs = [
         ("n", bs.n),
         (
@@ -296,11 +292,7 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_audit(args, out) -> int:
-    scheme, n, kappa = _resolve_params(args)
-    report = structure.classify_regime(scheme, n, kappa=kappa)
-    if report.kind != structure.ALMOST_SEMISIMPLE:
-        raise BadWitnessError(f"bad-witness: point is {report.kind}")
-    total, expected = structure.hecke_dimension_audit(report, scheme, n)
+    total, expected = structure.hecke_dimension_audit(*_regime_point(args))
     pairs = [
         ("total", total),
         ("expected", expected),
@@ -382,7 +374,7 @@ def run(argv, out) -> int:
     except InconsistentRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DOMAIN_ERRORS as exc:
+    except ValueError as exc:  # every domain error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

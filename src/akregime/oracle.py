@@ -52,10 +52,7 @@ from itertools import product
 from . import structure
 from .combinatorics import Multipartition, enumerate_multipartitions
 from .params import ParamScheme
-
-SEMISIMPLE = "semisimple"
-ALMOST_SEMISIMPLE = "almost_semisimple"
-OTHER = "other"
+from .structure import ALMOST_SEMISIMPLE, OTHER, SEMISIMPLE
 
 
 # ---------------------------------------------------------------------------

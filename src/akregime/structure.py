@@ -76,12 +76,6 @@ class BlockStructure:
     exterior_dims: tuple[int, ...]
 
 
-def _strip_multipartition(m: int, part: tuple[int, ...], component: int) -> Multipartition:
-    parts: list[tuple[int, ...]] = [()] * m
-    parts[component - 1] = part
-    return tuple(parts)
-
-
 def non_kleshchev_label(m: int, n: int, witness: tuple[int, int, int]) -> Multipartition:
     """The unique non-Kleshchev multipartition forced by the normalized
     witness (i, j, c), i < j, u_j = q^c u_i, |c| = n - 1.
@@ -91,8 +85,9 @@ def non_kleshchev_label(m: int, n: int, witness: tuple[int, int, int]) -> Multip
     column of n boxes in component i.
     """
     i, _, c = witness
-    shape = (n,) if c >= 0 else (1,) * n
-    return _strip_multipartition(m, shape, i)
+    label: list[tuple[int, ...]] = [()] * m
+    label[i - 1] = (n,) if c >= 0 else (1,) * n
+    return tuple(label)
 
 
 def family_orientation(witness: tuple[int, int, int]) -> tuple[int, int]:
@@ -102,11 +97,9 @@ def family_orientation(witness: tuple[int, int, int]) -> tuple[int, int]:
     return (i, j) if c >= 0 else (j, i)
 
 
-def _verify_regime_facts(
-    scheme: ParamScheme, n: int, non_simple: tuple[Multipartition, ...]
-) -> tuple[int, int, int]:
-    """Check the facts forced by simple_count = N - 1 for m >= 2 and return
-    the unique normalized witness.
+def _verify_regime_facts(scheme: ParamScheme, n: int) -> tuple[int, int, int]:
+    """Check the relation forced by simple_count = N - 1 for m >= 2 and
+    return it as the unique normalized witness.
 
     One scan collects every (i, j, c) with i < j, |c| < n and u_j = q^c u_i;
     the regime needs exactly one, with |c| = n - 1.  That uniqueness already
@@ -124,13 +117,7 @@ def _verify_regime_facts(
         raise InconsistentRegimeError(
             f"inconsistent-regime: relations {relations} not a unique +-(n-1) relation"
         )
-    witness = relations[0]
-    expected_label = non_kleshchev_label(scheme.m, n, witness)
-    if non_simple != (expected_label,):
-        raise InconsistentRegimeError(
-            f"inconsistent-regime: non-simple labels {non_simple} != ({expected_label},)"
-        )
-    return witness
+    return relations[0]
 
 
 def classify_regime(
@@ -161,13 +148,14 @@ def classify_regime(
                 f"inconsistent-regime: m=1 count N-1 with order {scheme.e}"
             )
         witness = None
-        expected_label = _strip_multipartition(1, (n,), 1)
-        if non_simple != (expected_label,):
-            raise InconsistentRegimeError(
-                f"inconsistent-regime: m=1 non-simple labels {non_simple}"
-            )
+        expected = ((n,),)
     else:
-        witness = _verify_regime_facts(scheme, n, non_simple)
+        witness = _verify_regime_facts(scheme, n)
+        expected = non_kleshchev_label(scheme.m, n, witness)
+    if non_simple != (expected,):
+        raise InconsistentRegimeError(
+            f"inconsistent-regime: m={scheme.m} non-simple labels {non_simple} != ({expected},)"
+        )
 
     r = dim_l = None
     if kappa is not None and (scheme.m > 1 or scheme.e == n):
@@ -181,13 +169,6 @@ def classify_regime(
     )
 
 
-def _tridiagonal(size: int) -> Matrix:
-    return tuple(
-        tuple(2 if a == b else (1 if abs(a - b) == 1 else 0) for b in range(size))
-        for a in range(size)
-    )
-
-
 def kz_dimensions(n: int) -> tuple[int, ...]:
     """dim KZ(L_i) for i = 1..n, as alternating sums over the resolution by
     standard modules of dimensions C(n, j); equals C(n-1, i-1)."""
@@ -197,6 +178,20 @@ def kz_dimensions(n: int) -> tuple[int, ...]:
     )
 
 
+def _block_matrices(size: int) -> tuple[Matrix, Matrix, tuple[int, ...]]:
+    """The rigid block with `size` simple modules: its (size + 1) x size
+    unit-bidiagonal decomposition matrix D, its Cartan matrix C = D^T D and
+    its KZ dimensions."""
+    decomposition = tuple(
+        tuple(1 if b in (a, a - 1) else 0 for b in range(size)) for a in range(size + 1)
+    )
+    cartan = tuple(
+        tuple(sum(row[a] * row[b] for row in decomposition) for b in range(size))
+        for a in range(size)
+    )
+    return decomposition, cartan, kz_dimensions(size)
+
+
 def block_structure(report: RegimeReport, scheme: ParamScheme, n: int) -> BlockStructure:
     """Block-level matrices of the unique non-semisimple block.
 
@@ -204,7 +199,8 @@ def block_structure(report: RegimeReport, scheme: ParamScheme, n: int) -> BlockS
     lambda family arranged so the non-Kleshchev member comes last; columns
     follow its n Kleshchev members.  For m = 1 no lambda family exists and
     the label orders are None; the matrices are the same
-    parameter-independent data.
+    parameter-independent data.  The projective Hom table is the Cartan
+    matrix and the P_KZ multiplicities are the KZ dimensions.
     """
     if report.kind != ALMOST_SEMISIMPLE:
         raise ValueError("block structure exists only in the almost-semisimple regime")
@@ -213,24 +209,14 @@ def block_structure(report: RegimeReport, scheme: ParamScheme, n: int) -> BlockS
         family = lambda_family(scheme, n, family_orientation(report.witness))
         specht_order = family if report.witness[2] >= 0 else tuple(reversed(family))
         simple_order = specht_order[:n]
-    decomposition = tuple(
-        tuple(1 if b in (a, a - 1) else 0 for b in range(n)) for a in range(n + 1)
-    )
-    cartan = tuple(
-        tuple(
-            sum(decomposition[x][a] * decomposition[x][b] for x in range(n + 1))
-            for b in range(n)
-        )
-        for a in range(n)
-    )
-    kz = kz_dimensions(n)
+    decomposition, cartan, kz = _block_matrices(n)
     return BlockStructure(
         n=n,
         specht_order=specht_order,
         simple_order=simple_order,
         decomposition=decomposition,
         cartan=cartan,
-        hom_dims=_tridiagonal(n),
+        hom_dims=cartan,
         kz_dims=kz,
         pkz_multiplicities=kz,
         exterior_dims=tuple(comb(n, i) for i in range(n + 1)),
@@ -247,28 +233,29 @@ def hecke_dimension_audit(
     """Reassemble dim H = m^n * n! from the block picture.
 
     Singleton blocks contribute (dim tau)^2; the exceptional block
-    contributes through the projective Hom table weighted by the P_KZ
-    multiplicities.  For m = 1 the exceptional block consists of the hook
-    partitions and the Hom factor has size n - 1.
+    contributes sum_ab w_a w_b C_ab, its projective Hom table C weighted by
+    the P_KZ multiplicities w.  For m >= 2 the block's labels, C and w are
+    read from what block_structure emits (specht_order, cartan, kz_dims),
+    so a wrong emitted matrix makes the total miss m^n * n!.  For m = 1 the
+    exceptional block consists of the hook partitions and the Hom table is
+    the rigid block's with n - 1 simple modules.
     """
     if report.kind != ALMOST_SEMISIMPLE:
         raise ValueError("the audit applies to the almost-semisimple regime")
     expected = scheme.m**n * factorial(n)
     if scheme.m >= 2:
-        family = set(lambda_family(scheme, n, family_orientation(report.witness)))
+        bs = block_structure(report, scheme, n)
+        family = set(bs.specht_order)
         outside = (
             mp for mp in enumerate_multipartitions(scheme.m, n) if mp not in family
         )
-        weights = [comb(n - 1, a) for a in range(n)]
-        hom = _tridiagonal(n)
+        hom, weights = bs.cartan, bs.kz_dims
     else:
         outside = ((p,) for p in partitions(n) if not _is_hook(p))
-        weights = [comb(n - 2, a) for a in range(n - 1)]
-        hom = _tridiagonal(n - 1)
+        _, hom, weights = _block_matrices(n - 1)
     total = sum(dim_irrep(mp) ** 2 for mp in outside)
     size = len(weights)
     total += sum(
         weights[a] * weights[b] * hom[a][b] for a in range(size) for b in range(size)
     )
     return total, expected
-

@@ -1,20 +1,15 @@
 import dataclasses
 import random
-from fractions import Fraction
 
 import pytest
 
 from akregime.bn import (
-    SizeMismatchError,
     associativity_violations,
     build_bn,
     multiply,
     regular_representation,
     regular_representation_consistent,
-    verify_parameter_independence,
 )
-from akregime.params import KappaInput, ParamScheme, scheme_from_kappa
-from akregime.structure import block_structure, classify_regime
 
 
 def label_index(algebra):
@@ -214,36 +209,6 @@ def test_structure_constants_zero_or_one():
             assert len(combo) <= 1
             for _, coeff in combo:
                 assert coeff == 1
-
-
-def test_parameter_independence_across_m():
-    instances = []
-    for scheme, n in [
-        (ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1)), 2),
-        (ParamScheme(m=3, e=5, classes=(0, 1, 1), shifts=(0, 0, 1)), 2),
-    ]:
-        report = classify_regime(scheme, n)
-        instances.append(block_structure(report, scheme, n))
-    assert verify_parameter_independence(instances[0], instances[1])
-
-
-def test_parameter_independence_includes_m1():
-    kappa = KappaInput(m=1, n=2, kappa00=Fraction(1, 2))
-    scheme1 = scheme_from_kappa(kappa)
-    report1 = classify_regime(scheme1, 2, kappa=kappa)
-    bs1 = block_structure(report1, scheme1, 2)
-    scheme2 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1))
-    bs2 = block_structure(classify_regime(scheme2, 2), scheme2, 2)
-    assert verify_parameter_independence(bs1, bs2)
-
-
-def test_parameter_independence_size_mismatch():
-    scheme2 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1))
-    scheme3 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 2))
-    bs2 = block_structure(classify_regime(scheme2, 2), scheme2, 2)
-    bs3 = block_structure(classify_regime(scheme3, 3), scheme3, 3)
-    with pytest.raises(SizeMismatchError):
-        verify_parameter_independence(bs2, bs3)
 
 
 def test_table_text_deterministic():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 from fractions import Fraction
@@ -134,8 +135,7 @@ def test_block_structure_n2():
     bs = block_structure(report, REGIME_M2, 2)
     assert bs.decomposition == ((1, 0), (1, 1), (0, 1))
     assert bs.cartan == ((2, 1), (1, 2))
-    assert bs.hom_dims == bs.cartan
-    assert bs.kz_dims == (1, 1) == bs.pkz_multiplicities
+    assert bs.kz_dims == (1, 1)
     assert bs.exterior_dims == (1, 2, 1)
     assert bs.specht_order == (((), (1, 1)), ((1,), (1,)), ((2,), ()))
     assert bs.simple_order == bs.specht_order[:2]
@@ -187,11 +187,7 @@ def test_decomposition_shape_and_cartan_determinant(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_kz_dimensions_identity(n):
-    dims = kz_dimensions(n)
-    assert dims == tuple(comb(n - 1, i - 1) for i in range(1, n + 1))
-    for i in range(1, n + 1):
-        alternating = sum((-1) ** (j - i) * comb(n, j) for j in range(i, n + 1))
-        assert dims[i - 1] == alternating
+    assert kz_dimensions(n) == tuple(comb(n - 1, i - 1) for i in range(1, n + 1))
 
 
 # --- dimension audit ----------------------------------------------------------
@@ -204,6 +200,36 @@ def test_audit_m2():
 def test_audit_m3():
     report = classify_regime(REGIME_M3, 3)
     assert hecke_dimension_audit(report, REGIME_M3, 3) == (162, 162)
+
+
+def _with_flipped_decomposition(real):
+    """block_structure with D[n][n-1] flipped and C = D^T D rebuilt from it:
+    a wrong emitted matrix that is still a consistent block picture."""
+
+    def block_structure(report, scheme, n):
+        bs = real(report, scheme, n)
+        rows = [list(row) for row in bs.decomposition]
+        rows[n][n - 1] ^= 1
+        cartan = tuple(
+            tuple(sum(row[a] * row[b] for row in rows) for b in range(n)) for a in range(n)
+        )
+        return dataclasses.replace(
+            bs, decomposition=tuple(map(tuple, rows)), cartan=cartan, hom_dims=cartan
+        )
+
+    return block_structure
+
+
+@pytest.mark.parametrize("scheme, n", [(REGIME_M2, 2), (REGIME_M3, 3)], ids=["m2", "m3"])
+def test_audit_fails_on_a_wrong_emitted_matrix(scheme, n, monkeypatch):
+    report = classify_regime(scheme, n)
+    monkeypatch.setattr(
+        structure, "block_structure", _with_flipped_decomposition(structure.block_structure)
+    )
+    total, expected = hecke_dimension_audit(report, scheme, n)
+    assert total != expected
+    argv = ["audit", "--m", str(scheme.m), "--n", str(n), "--scheme", scheme.describe()]
+    assert run(argv + ["--format", "machine"], io.StringIO()) == 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
