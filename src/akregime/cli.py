@@ -41,6 +41,8 @@ from .params import (
     KappaInput,
     ParamScheme,
     SchemeParseError,
+    _parse_int,
+    _split_fields,
     parse_kappa,
     parse_scheme,
     scheme_from_kappa,
@@ -99,6 +101,14 @@ def _emit_table(out, pairs, indent=0) -> None:
         out.write("  " * indent + f"{k}: {v}\n")
 
 
+def _write_pairs(out, pairs, fmt) -> None:
+    """One record: a tab-separated line in machine format, else table lines."""
+    if fmt == "machine":
+        _emit(out, pairs)
+    else:
+        _emit_table(out, pairs)
+
+
 def _check_budget(m: int, n: int) -> None:
     if multipartition_count_capped(m, n, LABEL_LIMIT) > LABEL_LIMIT:
         raise ValueError(
@@ -151,7 +161,7 @@ def _cmd_count_simples(args, out) -> int:
         ("irrep_count", multipartition_count(scheme.m, n)),
         ("non_simple", "|".join(format_multipartition(mp) for mp in non_simple) or "none"),
     ]
-    _emit(out, pairs) if args.format == "machine" else _emit_table(out, pairs)
+    _write_pairs(out, pairs, args.format)
     return 0
 
 
@@ -170,7 +180,7 @@ def _cmd_classify(args, out) -> int:
     ]
     if report.r is not None:
         pairs += [("r", report.r), ("dim_L_chi", report.dim_L_chi)]
-    _emit(out, pairs) if args.format == "machine" else _emit_table(out, pairs)
+    _write_pairs(out, pairs, args.format)
     return 0
 
 
@@ -184,8 +194,8 @@ def _cmd_blocks(args, out) -> int:
         ("block_count", len(partition.blocks)),
         ("exceptional_index", exceptional if exceptional is not None else "none"),
     ]
+    _write_pairs(out, head, args.format)
     if args.format == "machine":
-        _emit(out, head)
         for idx, block in enumerate(partition.blocks):
             _emit(
                 out,
@@ -196,7 +206,6 @@ def _cmd_blocks(args, out) -> int:
                 ],
             )
     else:
-        _emit_table(out, head)
         for idx, block in enumerate(partition.blocks):
             members = " ".join(format_multipartition(mp) for mp in block)
             out.write(f"  block {idx} (size {len(block)}): {members}\n")
@@ -255,12 +264,8 @@ def _cmd_bn_algebra(args, out) -> int:
         ("dim", algebra.dimension),
         ("associativity", "pass" if consistent else "fail"),
     ]
-    if args.format == "machine":
-        _emit(out, pairs)
-        out.write(algebra.table_text() + "\n")
-    else:
-        _emit_table(out, pairs)
-        out.write(algebra.table_text() + "\n")
+    _write_pairs(out, pairs, args.format)
+    out.write(algebra.table_text() + "\n")
     return 0 if consistent else 2
 
 
@@ -284,9 +289,7 @@ def _cmd_sweep(args, out) -> int:
                     ("predicted_match", str(row.predicted_match).lower()),
                 ],
             )
-        _emit(out, sorted(summary.items()))
-    else:
-        _emit_table(out, sorted(summary.items()))
+    _write_pairs(out, sorted(summary.items()), args.format)
     failures = summary["disagreements"] + summary["prediction_mismatches"]
     return 2 if failures else 0
 
@@ -298,7 +301,7 @@ def _cmd_audit(args, out) -> int:
         ("expected", expected),
         ("match", str(total == expected).lower()),
     ]
-    _emit(out, pairs) if args.format == "machine" else _emit_table(out, pairs)
+    _write_pairs(out, pairs, args.format)
     return 0 if total == expected else 2
 
 
@@ -308,18 +311,8 @@ _GRID_MINIMA = {"m": 1, "n": 1, "e": 0}
 def _parse_grid(text: str) -> oracle.SweepGrid:
     """Grid override `m=1,2;n=2,3;e=0,1,2` (e omitted: 0..2n+1 per n)."""
     fields = {}
-    for chunk in text.split(";"):
-        if "=" not in chunk:
-            raise SchemeParseError(f"bad grid chunk {chunk!r}")
-        key, value = chunk.split("=", 1)
-        if key not in _GRID_MINIMA:
-            raise SchemeParseError(f"unknown grid key {key!r}")
-        if key in fields:
-            raise SchemeParseError(f"duplicate grid key {key!r}")
-        try:
-            fields[key] = tuple(int(v) for v in value.split(","))
-        except ValueError:
-            raise SchemeParseError(f"bad grid values {value!r}") from None
+    for key, (value, pos) in _split_fields(text, tuple(_GRID_MINIMA)).items():
+        fields[key] = tuple(_parse_int(v, pos, f"{key!r} value") for v in value.split(","))
         if min(fields[key]) < _GRID_MINIMA[key]:
             raise SchemeParseError(
                 f"grid key {key!r} takes values >= {_GRID_MINIMA[key]}: {value!r}"

@@ -1,21 +1,28 @@
 """Naive brute-force verifiers, independent of the fast modules.
 
-Everything here is recomputed from the definitions: residues, normal and
-good nodes, the Kleshchev recursion, the q = 1 criterion, content
-multisets, and the parameter-relation scans.  A label's removable and
-addable nodes are found, grouped by residue, in one top-to-bottom pass over
-each component, and the normal and good nodes are then read off that
-grouping by the definition.  The Kleshchev search tree is walked in full
-for every label it reads (no verdict is memoized); only each label's
-good-node children are computed once per scheme.  `oracle_simple_count`
-reads every label.  `oracle_kind` stops at the second non-Kleshchev label:
-the kind only tells 0, 1 or at least 2 misses apart, and a second miss
-already rules out the N - 1 simples of the almost-semisimple regime,
-whatever the later labels are.  None of it calls into
-the kernel, simples or blocks, so agreement between this module and the
-fast path is a genuine two-route check.  Only the multipartition
-enumeration is shared plumbing (it has its own generating-function
-cross-check in the test suite).
+The verifier half recomputes everything from the definitions: residues,
+normal and good nodes, the Kleshchev recursion, the q = 1 criterion and
+content multisets.  A label's removable and addable nodes are found,
+grouped by residue, in one top-to-bottom pass over each component, and the
+normal and good nodes are then read off that grouping by the definition.
+The Kleshchev search tree is walked in full for every label it reads (no
+verdict is memoized); only each label's good-node children are computed
+once per scheme.  `oracle_simple_count` reads every label.  `oracle_kind`
+stops at the second non-Kleshchev label: the kind only tells 0, 1 or at
+least 2 misses apart, and a second miss already rules out the N - 1 simples
+of the almost-semisimple regime, whatever the later labels are.  None of
+the verifier half calls into the kernel, simples or blocks, so agreement
+between it and the fast path is a genuine two-route check.  Only the
+multipartition enumeration is shared plumbing (it has its own
+generating-function cross-check in the test suite).
+
+The sweep half (`regime_locus`) runs both routes, the fast path through
+`structure.classify_regime` (which calls the kernel) and the verifier's
+recursion, and reads the parameter-side regime test from `params`.  Both
+routes take the kind from a label-by-label count of simple modules, which
+reads no relation, so a wrong shared test still shows: a missed regime
+point makes `classify_regime` raise InconsistentRegimeError, and an
+accepted point outside the regime is a prediction mismatch.
 
 Beyond m and whether e = 1, the oracle reads the parameters only through
 residues, which it compares for equality (to group nodes, or at e = 1 to
@@ -51,7 +58,7 @@ from itertools import product
 
 from . import structure
 from .combinatorics import Multipartition, enumerate_multipartitions
-from .params import ParamScheme
+from .params import ParamScheme, m1_regime_order, regime_relation, relations
 from .structure import ALMOST_SEMISIMPLE, OTHER, SEMISIMPLE
 
 
@@ -201,22 +208,6 @@ def oracle_kind(scheme: ParamScheme, n: int) -> str:
     return SEMISIMPLE if misses == 0 else ALMOST_SEMISIMPLE
 
 
-def _relations_window(scheme: ParamScheme, bound: int):
-    """All (i, j, c) with i < j, |c| < bound and u_j = q^c u_i."""
-    out = []
-    for i in range(1, scheme.m + 1):
-        for j in range(i + 1, scheme.m + 1):
-            if scheme.classes[i - 1] != scheme.classes[j - 1]:
-                continue
-            diff = scheme.shifts[j - 1] - scheme.shifts[i - 1]
-            for c in range(-bound + 1, bound):
-                if (scheme.e == 0 and c == diff) or (
-                    scheme.e > 0 and (c - diff) % scheme.e == 0
-                ):
-                    out.append((i, j, c))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Content lemma suite.
 
@@ -245,16 +236,11 @@ def _full_content(scheme, mp):
 
 
 def _witness_pair(scheme: ParamScheme, n: int) -> tuple[int, int]:
-    """First pair (i, j), i != j, with u_j = q^(n-1) u_i."""
-    for i in range(1, scheme.m + 1):
-        for j in range(1, scheme.m + 1):
-            if i == j or scheme.classes[i - 1] != scheme.classes[j - 1]:
-                continue
-            diff = scheme.shifts[j - 1] - scheme.shifts[i - 1]
-            if (scheme.e == 0 and diff == n - 1) or (
-                scheme.e > 0 and (diff - (n - 1)) % scheme.e == 0
-            ):
-                return (i, j)
+    """The pair (i, j) with u_j = q^(n-1) u_i, from the first relation with
+    |c| = n - 1."""
+    for relation in relations(scheme, n):
+        if abs(relation[2]) == n - 1:
+            return structure.family_orientation(relation)
     raise ValueError("no witness relation u_j = q^(n-1) u_i in the scheme")
 
 
@@ -270,8 +256,8 @@ def verify_lemmas(scheme: ParamScheme, n: int) -> dict[str, LemmaReport]:
         reports[name] = LemmaReport(name, counterexample is None, counterexample)
 
     # no-extra-relations: k outside the witness pair is never q-power related.
-    relations = _relations_window(scheme, n)
-    oriented = relations + [(b, a, -c) for a, b, c in relations]
+    found = relations(scheme, n)
+    oriented = found + [(b, a, -c) for a, b, c in found]
     bad = next(((k, ell, c) for k, ell, c in oriented if k not in (i, j)), None)
     record("no-extra-relations", None if bad is None else f"u_{bad[0]} = q^{bad[2]} u_{bad[1]}")
 
@@ -408,23 +394,13 @@ def _class_tuples(m: int, patterns) -> list[tuple[int, ...]]:
     if "all-distinct" in patterns:
         out.append(tuple(range(m)))
     if "one-merged-pair" in patterns and m >= 2:
-        for a in range(m):
-            for b in range(a + 1, m):
-                labels: list[int] = []
-                mapping: dict[int, int] = {}
-                for idx in range(m):
-                    key = a if idx == b else idx
-                    if key not in mapping:
-                        mapping[key] = len(mapping)
-                    labels.append(mapping[key])
-                out.append(tuple(labels))
-    seen = set()
-    unique = []
-    for labels in out:
-        if labels not in seen:
-            seen.add(labels)
-            unique.append(labels)
-    return unique
+        # Component b joins a's class; the labels after b close the gap.
+        out.extend(
+            tuple(a if k == b else k - (k > b) for k in range(m))
+            for a in range(m)
+            for b in range(a + 1, m)
+        )
+    return list(dict.fromkeys(out))
 
 
 def _shift_tuples(m: int, n: int, e: int) -> list[tuple[int, ...]]:
@@ -494,26 +470,16 @@ def _predicted_regime(scheme: ParamScheme, n: int) -> bool:
     unique relation u_j = q^(+-(n-1)) u_i with q != 1, [n]_q! != 0, order
     infinite or >= 2n-1 and the u_i pairwise distinct; for m = 1, n >= 2
     and order n or n - 1 (the row of n boxes is then the unique
-    non-restricted partition).
+    non-restricted partition).  The unique relation implies the other
+    conditions (see `params.regime_relation`), so it is all that is tested.
 
     At n = 1 the algebra is commutative and its simple modules are counted
     by the distinct u_i, whatever q is: for m >= 2 the unique relation
     (then c = 0, one coincidence u_i = u_j) is the whole condition, and
     m = 1 is never in the regime."""
     if scheme.m == 1:
-        return n >= 2 and (scheme.e == n or (scheme.e == n - 1 and scheme.e >= 2))
-    rels = _relations_window(scheme, n)
-    if len(rels) != 1 or abs(rels[0][2]) != n - 1:
-        return False
-    if n == 1:
-        return True
-    if scheme.e == 1:
-        return False
-    if not (scheme.e == 0 or scheme.e > n):
-        return False
-    if not (scheme.e == 0 or scheme.e >= 2 * n - 1):
-        return False
-    return all(c != 0 for _, _, c in rels)
+        return m1_regime_order(scheme.e, n)
+    return regime_relation(scheme, n) is not None
 
 
 def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:

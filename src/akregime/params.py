@@ -101,8 +101,38 @@ def relation_exponents(scheme: ParamScheme, i: int, j: int, bound: int) -> froze
     )
 
 
-def _frac_mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+def relations(scheme: ParamScheme, bound: int) -> list[tuple[int, int, int]]:
+    """Every (i, j, c) with i < j, |c| < bound and u_j = q^c u_i, in
+    (i, j, c) order."""
+    return [
+        (i, j, c)
+        for i in range(1, scheme.m + 1)
+        for j in range(i + 1, scheme.m + 1)
+        for c in sorted(relation_exponents(scheme, j, i, bound))
+    ]
+
+
+def regime_relation(scheme: ParamScheme, n: int) -> tuple[int, int, int] | None:
+    """The parameter side of the almost-semisimple regime for m >= 2: the
+    one relation (i, j, c) of `relations(scheme, n)` when there is exactly
+    one and it has |c| = n - 1, else None.
+
+    That uniqueness already implies q != 1, [n]_q! != 0, order infinite or
+    >= 2n - 1 and pairwise distinct u_i, so none of them is tested apart:
+    at a finite order e <= 2n - 2 the relation c comes with c -+ e, at e = 1
+    every c in (-n, n) is a relation, and for n > 1 a relation c = 0 would
+    be a second one."""
+    found = relations(scheme, n)
+    if len(found) != 1 or abs(found[0][2]) != n - 1:
+        return None
+    return found[0]
+
+
+def m1_regime_order(e: int, n: int) -> bool:
+    """The regime for m = 1: q has order n, or order n - 1 >= 2.  Exactly
+    the row (n) then has a part gap >= n - 1, so it is the one
+    non-restricted partition and the count is p(n) - 1."""
+    return n >= 2 and (e == n or (e == n - 1 and e >= 2))
 
 
 def scheme_from_kappa(k: KappaInput) -> ParamScheme:
@@ -113,11 +143,11 @@ def scheme_from_kappa(k: KappaInput) -> ParamScheme:
     The index m-i+1 is read mod m with kappa_0 = 0, so kappa_m means kappa_0.
     """
     m = k.m
-    t_q = _frac_mod1(k.kappa00)
+    t_q = k.kappa00 % 1
     t_u = []
     for i in range(1, m + 1):
         idx = m - i + 1
-        t_u.append(_frac_mod1(-Fraction(idx, m) - k.kappa_entry(idx)))
+        t_u.append((-Fraction(idx, m) - k.kappa_entry(idx)) % 1)
 
     # Order of q; e = 1 encodes q = 1 (t_q = 0 has denominator 1).
     e = t_q.denominator if t_q != 0 else 1
@@ -163,7 +193,7 @@ def derive_r(k: KappaInput, witness: tuple[int, int]) -> int:
     """
     m, n = k.m, k.n
     if m == 1:
-        c = _frac_mod1(k.kappa00)
+        c = k.kappa00 % 1
         if c.denominator != n or c.numerator == 0:
             raise NoWitnessError("no-witness")
         return c.numerator

@@ -19,7 +19,7 @@ from .combinatorics import (
     remove_node,
     removable_nodes,
 )
-from .params import ParamScheme, Residue, relation_exponents, residue_of
+from .params import ParamScheme, Residue, relations, residue_of
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,4 @@ def _quantum_factorial_nonzero(e: int, n: int) -> bool:
 def ariki_semisimple(scheme: ParamScheme, n: int) -> bool:
     """Semisimplicity criterion: [n]_q! != 0 and no relation u_i = q^c u_j
     with |c| < n."""
-    if not _quantum_factorial_nonzero(scheme.e, n):
-        return False
-    return all(
-        not relation_exponents(scheme, i, j, n)
-        for i in range(1, scheme.m + 1)
-        for j in range(i + 1, scheme.m + 1)
-    )
+    return _quantum_factorial_nonzero(scheme.e, n) and not relations(scheme, n)

@@ -15,9 +15,11 @@ regime forces, each once:
     m = 1    order n, or n - 1 >= 2 (which gives the e-restricted count
              p(n) - 1); the row (n) as the only non-Kleshchev label
 
-q != 1, [n]_q! != 0, the order bound 2n - 1 and pairwise distinct u_i all
-follow from the unique relation and are not checked apart.  Any failure
-raises InconsistentRegimeError: an internal inconsistency, never data.
+The parameter-side tests are `params.regime_relation` (m >= 2) and
+`params.m1_regime_order` (m = 1); the former's docstring says why q != 1,
+[n]_q! != 0, the order bound 2n - 1 and pairwise distinct u_i are not
+checked apart.  Any failure raises InconsistentRegimeError: an internal
+inconsistency, never data.
 
 The matrices are block-level data under the declared a-ordering of the
 lambda family; no claim is made about which individual Specht module maps
@@ -35,7 +37,7 @@ from .combinatorics import (
     multipartition_count,
     partitions,
 )
-from .params import KappaInput, ParamScheme, derive_r, relation_exponents
+from .params import KappaInput, ParamScheme, derive_r, m1_regime_order, regime_relation, relations
 from .simples import simple_count
 
 SEMISIMPLE = "semisimple"
@@ -99,25 +101,14 @@ def family_orientation(witness: tuple[int, int, int]) -> tuple[int, int]:
 
 def _verify_regime_facts(scheme: ParamScheme, n: int) -> tuple[int, int, int]:
     """Check the relation forced by simple_count = N - 1 for m >= 2 and
-    return it as the unique normalized witness.
-
-    One scan collects every (i, j, c) with i < j, |c| < n and u_j = q^c u_i;
-    the regime needs exactly one, with |c| = n - 1.  That uniqueness already
-    implies q != 1, [n]_q! != 0, order infinite or >= 2n - 1 and distinct
-    u_i: at a finite order e <= 2n - 2 the relation c comes with c -+ e, at
-    e = 1 with every c in (-n, n), and for n > 1 a relation c = 0 would be a
-    second one."""
-    relations = [
-        (i, j, c)
-        for i in range(1, scheme.m + 1)
-        for j in range(i + 1, scheme.m + 1)
-        for c in sorted(relation_exponents(scheme, j, i, n))
-    ]
-    if len(relations) != 1 or abs(relations[0][2]) != n - 1:
+    return it as the unique normalized witness (`params.regime_relation`)."""
+    witness = regime_relation(scheme, n)
+    if witness is None:
         raise InconsistentRegimeError(
-            f"inconsistent-regime: relations {relations} not a unique +-(n-1) relation"
+            f"inconsistent-regime: relations {relations(scheme, n)} "
+            "not a unique +-(n-1) relation"
         )
-    return relations[0]
+    return witness
 
 
 def classify_regime(
@@ -140,10 +131,7 @@ def classify_regime(
         return RegimeReport(scheme.m, n, OTHER, count, total)
 
     if scheme.m == 1:
-        # Exactly the row (n) has a part gap >= n - 1, so the restricted
-        # count is p(n) - 1 at order n and also at order n - 1 (when q != 1):
-        # the order check below already implies it.
-        if not (scheme.e == n or (scheme.e == n - 1 and scheme.e >= 2)):
+        if not m1_regime_order(scheme.e, n):
             raise InconsistentRegimeError(
                 f"inconsistent-regime: m=1 count N-1 with order {scheme.e}"
             )

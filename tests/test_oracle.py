@@ -15,7 +15,6 @@ from akregime.oracle import (
     SweepGrid,
     _class_tuples,
     _nodes_by_residue,
-    _predicted_regime,
     _residue,
     _residue_pattern,
     _shift_tuples,
@@ -29,7 +28,7 @@ from akregime.oracle import (
     regime_locus,
     verify_lemmas,
 )
-from akregime.params import ParamScheme, relation_exponents
+from akregime.params import ParamScheme, regime_relation, relation_exponents
 from akregime.simples import good_node, is_kleshchev, simple_count
 from akregime.structure import InconsistentRegimeError, classify_regime
 
@@ -440,7 +439,7 @@ def test_fast_path_depends_only_on_residue_pattern():
     # regime_locus runs classify_regime once per pattern too and reuses its
     # kind, so schemes sharing a pattern must get the same report, or both
     # raise.  A relation scan over |c| <= 2n + 1 (bound 2 * n + 2 passed to
-    # relation_exponents in _verify_regime_facts) reads the shifts beyond
+    # relations in params.regime_relation) reads the shifts beyond
     # what the -n..n windows show and fails here (19 mismatches); a scan
     # over |c| <= n + 1 does not, since the windows see every relation with
     # |c| <= 2n.
@@ -509,22 +508,26 @@ def test_planted_fast_kind_shows_at_a_reused_pattern(monkeypatch):
     assert {row.oracle_kind for row in wrong} == {oracle_kind(planted, 3)}
 
 
-def test_predicted_regime_is_one_relation_of_size_n_minus_1():
-    # For m >= 2 the predictor's extra conditions (q != 1, [n]_q! != 0, the
-    # order bound, distinct u_i) follow from a unique relation with
-    # |c| = n - 1, which is all classify_regime checks.  Here that relation
-    # is found directly, over every class and shift pattern of the grid.
-    mismatches = []
-    for n in range(1, 6):
+def test_unique_relation_implies_the_other_regime_facts():
+    # params.regime_relation tests only for a unique relation with
+    # |c| = n - 1; its docstring argues that this implies q != 1, the order
+    # bound (hence [n]_q! != 0), c != 0 and pairwise distinct u_i.  Here
+    # each implied fact is checked at every n >= 2 point of the grid that it
+    # accepts.
+    accepted = 0
+    violations = []
+    for n in range(2, 6):
         grid = SweepGrid(m_values=(2, 3), n_values=(n,), e_values=tuple(range(2 * n + 4)))
         for m, _, scheme in grid_points(grid):
-            relations = [
-                c
-                for i in range(1, m + 1)
-                for j in range(i + 1, m + 1)
-                for c in relation_exponents(scheme, j, i, n)
-            ]
-            unique = len(relations) == 1 and abs(relations[0]) == n - 1
-            if unique != _predicted_regime(scheme, n):
-                mismatches.append((n, scheme.describe()))
-    assert mismatches == []
+            witness = regime_relation(scheme, n)
+            if witness is None:
+                continue
+            accepted += 1
+            e = scheme.e
+            distinct = not any(
+                relation_exponents(scheme, j, i, 1) for i, j in combinations(range(1, m + 1), 2)
+            )
+            if not (e != 1 and (e == 0 or e >= 2 * n - 1) and witness[2] != 0 and distinct):
+                violations.append((n, scheme.describe(), witness))
+    assert violations == []
+    assert accepted >= 1368  # the n >= 2 points of this grid that it accepts
