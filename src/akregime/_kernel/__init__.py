@@ -1,6 +1,8 @@
 """Kleshchev kernel: `kleshchev_verdicts(e, classes, shifts, mps)` and
-`good_node(e, classes, shifts, mp, residue)` on raw data.  `BACKEND` names
-the implementation that runs."""
+`good_node(e, classes, shifts, mp, residue)` on raw data.  Both split a
+multipartition into the sub-multipartitions of its class groups (the
+components that share a class label), whose residues never meet, and work
+on each group apart.  `BACKEND` names the implementation that runs."""
 
 from . import pykernel
 

@@ -2,10 +2,22 @@
 multipartitions as tuples of tuples), independent of the typed API layer
 in `simples`.
 
-Residue (cls, exp) is the int key class_index + stride * exp: a call numbers
-the distinct class labels in first-seen order and stride is their count, so
-keys never collide.  Component k's node of content d has key class_index +
-stride * (shift + d), reduced mod stride * e when e > 0 (exp mod e).
+Class groups.  u_k = q^shift[k] * v_class[k] with the v_c independent, so a
+node of component k has residue (class[k], shift[k] + content), and two
+components of different classes never share a residue.  The kernel splits
+the components by class label (a class group, in first-seen order) and
+decides each group's sub-multipartition on its own, with the group's
+shifts.  Within a group every node has one class, so its residue is the int
+key shift + content, reduced mod e when e > 0.
+
+Why a label is Kleshchev iff every group's sub-multipartition is.  The
+Kleshchev labels are those that descend to the empty multipartition by
+removing good nodes.  The bracket for residue (cls, exp) reads only the
+nodes of components of class cls, and removing a good node of one group
+leaves every other group's nodes, hence its signatures, unchanged.  So the
+good-node removals of a label are those of its groups, interleaved in any
+order, and the label descends to the empty multipartition iff each group's
+sub-multipartition does.
 
 Good-node rule, for a fixed residue: list the removable and addable nodes
 of that residue in the "below" order (component, then row; within one
@@ -16,32 +28,34 @@ descent step brackets every residue at once, one run of equal rows at a
 time: a run has one addable node, at its top row, then one removable node,
 at its bottom row.
 
-Each step records every good child's verdict in the call's memo and goes
+Each step records every good child's verdict in the group's memo and goes
 on through the lowest good node (largest component, then row; see
-`_verdict`), so a bulk call makes about one walk per label.
+`_verdict`), so a bulk call makes about one walk per sub-multipartition.
 """
 
 
-def _keys(e, classes, shifts):
-    class_index = {cls: i for i, cls in enumerate(dict.fromkeys(classes))}
-    stride = len(class_index)
-    bases = tuple(class_index[cls] + stride * shift for cls, shift in zip(classes, shifts))
-    return class_index, stride, stride * e, bases
+def _groups(classes):
+    """Component indices of each class label, in first-seen order."""
+    groups = {}
+    for k, cls in enumerate(classes):
+        groups.setdefault(cls, []).append(k)
+    return groups
 
 
-def _good_index(stride, modulus, bases, mp):
-    """Residue key -> open removable (component, row) of `mp`, below order."""
+def _good_index(e, shifts, mp):
+    """Residue key -> open removable (component, row) of `mp`, below order.
+    Every component of `mp` has one class."""
     opened = {}
     for k, component in enumerate(mp):
-        base = bases[k]
+        shift = shifts[k]
         rows = len(component)
         r = 0
         while True:
             row_len = component[r] if r < rows else 0
             # The addable node (r, row_len + 1) tops the run.
-            key = base + stride * (row_len - r)
-            if modulus:
-                key %= modulus
+            key = shift + row_len - r
+            if e:
+                key %= e
             nodes = opened.get(key)
             if nodes:
                 nodes.pop()
@@ -49,9 +63,9 @@ def _good_index(stride, modulus, bases, mp):
                 break
             r += component.count(row_len)
             # The removable node (r - 1, row_len) ends the run.
-            key = base + stride * (row_len - r)
-            if modulus:
-                key %= modulus
+            key = shift + row_len - r
+            if e:
+                key %= e
             opened.setdefault(key, []).append((k, r - 1))
     return opened
 
@@ -59,16 +73,16 @@ def _good_index(stride, modulus, bases, mp):
 def good_node(e, classes, shifts, mp, residue):
     """The good node of the given residue, as (component, row, column)
     1-based, or None.  Requires e != 1."""
-    class_index, stride, modulus, bases = _keys(e, classes, shifts)
     cls, exp = residue
-    if cls not in class_index:
+    group = _groups(classes).get(cls)
+    if group is None:
         return None
-    key = class_index[cls] + stride * (exp % e if e else exp)
-    nodes = _good_index(stride, modulus, bases, mp).get(key)
+    sub = tuple(mp[k] for k in group)
+    nodes = _good_index(e, tuple(shifts[k] for k in group), sub).get(exp % e if e else exp)
     if not nodes:
         return None
-    k, r = nodes[0]
-    return (k + 1, r + 1, mp[k][r])
+    j, r = nodes[0]
+    return (group[j] + 1, r + 1, sub[j][r])
 
 
 def _remove(mp, k, r):
@@ -79,7 +93,7 @@ def _remove(mp, k, r):
     return mp[:k] + (rows,) + mp[k + 1:]
 
 
-def _verdict(stride, modulus, bases, mp, memo):
+def _verdict(e, shifts, mp, memo):
     # The Kleshchev labels are the crystal component of the empty
     # multipartition, and removing a good node is a crystal edge, so it
     # never leaves or enters that component: every good child of a label
@@ -92,7 +106,7 @@ def _verdict(stride, modulus, bases, mp, memo):
     while result is None:
         chain.append(mp)
         lowest = None
-        for nodes in _good_index(stride, modulus, bases, mp).values():
+        for nodes in _good_index(e, shifts, mp).values():
             if nodes:
                 node = nodes[0]
                 if lowest is None:
@@ -112,9 +126,20 @@ def _verdict(stride, modulus, bases, mp, memo):
 
 
 def kleshchev_verdicts(e, classes, shifts, mps):
-    """Kleshchev verdict for each multipartition, sharing one memo table
-    confined to this call, so concurrent callers never share state.
-    Requires e != 1."""
-    _, stride, modulus, bases = _keys(e, classes, shifts)
-    memo = {((),) * len(classes): True}
-    return [_verdict(stride, modulus, bases, mp, memo) for mp in mps]
+    """Kleshchev verdict for each multipartition: the AND of its class
+    groups' verdicts, each group sharing one memo table confined to this
+    call, so concurrent callers never share state.  Requires e != 1."""
+    groups = [
+        (group, tuple(shifts[k] for k in group), {((),) * len(group): True})
+        for group in _groups(classes).values()
+    ]
+    if len(groups) == 1:
+        _, group_shifts, memo = groups[0]
+        return [_verdict(e, group_shifts, mp, memo) for mp in mps]
+    return [
+        all(
+            _verdict(e, group_shifts, tuple(mp[k] for k in group), memo)
+            for group, group_shifts, memo in groups
+        )
+        for mp in mps
+    ]

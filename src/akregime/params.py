@@ -96,9 +96,9 @@ def relation_exponents(scheme: ParamScheme, i: int, j: int, bound: int) -> froze
     diff = scheme.shifts[i - 1] - scheme.shifts[j - 1]
     if scheme.e == 0:
         return frozenset({diff} if abs(diff) < bound else ())
-    return frozenset(
-        c for c in range(-bound + 1, bound) if (c - diff) % scheme.e == 0
-    )
+    # The c = diff mod e in the window, from the least one above -bound.
+    first = -bound + 1 + (diff + bound - 1) % scheme.e
+    return frozenset(range(first, bound, scheme.e))
 
 
 def relations(scheme: ParamScheme, bound: int) -> list[tuple[int, int, int]]:

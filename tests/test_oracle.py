@@ -111,6 +111,27 @@ def test_bulk_verdicts_take_about_one_walk_per_label(monkeypatch):
         monkeypatch.undo()
 
 
+def test_bulk_verdicts_walk_each_class_group_apart(monkeypatch):
+    # Components of different classes never share a residue, so the kernel
+    # decides each class group's sub-multipartition on its own, in a memo of
+    # its own.  Here both groups are level one at e = 0, where every
+    # partition is Kleshchev: the walks go to the two groups' partitions of
+    # size at most 12, not to the 1165 labels (a descent on whole labels
+    # makes 1176 walks).
+    walks = _count_calls(monkeypatch, pykernel, "_good_index")
+    labels = enumerate_multipartitions(2, 12)
+    assert len(labels) == 1165
+    assert all(_kernel.kleshchev_verdicts(0, (0, 1), (0, 0), labels))
+    assert len(walks) < len(labels) / 2, len(walks)
+    monkeypatch.undo()
+    # Two interleaved components of one class and a third of another.
+    scheme = ParamScheme(m=3, e=4, classes=(0, 1, 0), shifts=(0, 0, 3))
+    labels = enumerate_multipartitions(3, 7)
+    bulk = _kernel.kleshchev_verdicts(scheme.e, scheme.classes, scheme.shifts, labels)
+    assert bulk == [oracle_kleshchev(scheme, mp) for mp in labels]
+    assert (sum(bulk), len(labels)) == (261, 429)
+
+
 @pytest.mark.parametrize(
     "classes, shifts, n", [((0, 0), (0, 1), 4), ((0, 0, 1), (0, 1, 0), 3)]
 )
@@ -233,6 +254,9 @@ def test_oracle_good_node_agrees():
         (ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 2)), 6),
         (ParamScheme(m=2, e=4, classes=(0, 0), shifts=(0, 1)), 6),
         (ParamScheme(m=3, e=5, classes=(0, 0, 1), shifts=(0, 2, 0)), 5),
+        # Class groups {1, 3}, {2} and {4}: a good node found in a group's
+        # sub-multipartition must map back to its component in the label.
+        (ParamScheme(m=4, e=0, classes=(1, 0, 1, 2), shifts=(0, 5, 3, 0)), 3),
     ]
     for scheme, n in schemes:
         for mp in enumerate_multipartitions(scheme.m, n):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -108,6 +109,19 @@ def test_relation_exponents_antisymmetric(e, shifts, bound):
     forward = relation_exponents(scheme, 1, 2, bound)
     backward = relation_exponents(scheme, 2, 1, bound)
     assert forward == frozenset(-c for c in backward)
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 7, 15])
+def test_relation_exponents_match_window_scan(e):
+    # relation_exponents steps through the matches; a scan of the whole
+    # window (-bound, bound) must find the same exponents.
+    for a, b in product(range(-16, 17), repeat=2):
+        scheme = ParamScheme(m=2, e=e, classes=(0, 0), shifts=(a, b))
+        diff = scheme.shifts[0] - scheme.shifts[1]
+        for bound in range(-1, 20):
+            window = range(-bound + 1, bound)
+            scan = {c for c in window if (c - diff) % e == 0} if e else {diff} & set(window)
+            assert relation_exponents(scheme, 1, 2, bound) == scan, (e, a, b, bound)
 
 
 def test_shifts_reduced_mod_e():
