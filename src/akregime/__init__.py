@@ -29,6 +29,7 @@ from .simples import (
     ariki_semisimple,
     good_node,
     is_kleshchev,
+    kleshchev_count,
     simple_count,
 )
 from .structure import (
@@ -68,6 +69,7 @@ __all__ = [
     "good_node",
     "hecke_dimension_audit",
     "is_kleshchev",
+    "kleshchev_count",
     "kz_dimensions",
     "lambda_family",
     "multipartition_count",

@@ -7,7 +7,7 @@ an immutable value and every function is pure, so the module is safe for
 concurrent use without coordination.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
@@ -91,33 +91,47 @@ def _product(choices: list[tuple[Partition, ...]]) -> Iterator[Multipartition]:
             yield (head,) + tail
 
 
+def euler_product(exponent, n: int, cap: int | None = None) -> list[int]:
+    """The coefficients c_0, c_1, ... of prod_{a >= 1} (1 - t^a)^exponent(a),
+    up to t^n or up to the first one over `cap`, whichever comes first.
+
+    The product's logarithmic derivative gives t c_t = sum_k b_k c_(t-k)
+    over k = 1..t, with b_k = -sum_{a | k} a exponent(a).  The division by
+    t is exact, since the product has integer coefficients and c_0 = 1.
+    """
+    coeffs = [1]
+    logs = [0]
+    while len(coeffs) <= n and (cap is None or coeffs[-1] <= cap):
+        t = len(coeffs)
+        logs.append(-sum(a * exponent(a) for a in range(1, t + 1) if t % a == 0))
+        coeffs.append(sum(logs[k] * coeffs[t - k] for k in range(1, t + 1)) // t)
+    return coeffs
+
+
+@lru_cache(maxsize=1024)
 def multipartition_count(m: int, n: int) -> int:
-    """|Irrep(W)| = number of m-multipartitions of n."""
-    return len(enumerate_multipartitions(m, n))
+    """|Irrep(W)| = number of m-multipartitions of n: the coefficient of
+    t^n in prod_k (1 - t^k)^(-m), found without enumerating them."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return euler_product(lambda _: -m, n)[n]
 
 
 @cache
 def multipartition_count_capped(m: int, n: int, cap: int) -> int:
-    """The number of m-multipartitions of n, or cap + 1 when it is larger,
-    found without enumerating them.
+    """The number of m-multipartitions of n, or cap + 1 when it is larger.
 
-    The count c(n) is the coefficient of x^n in prod_k (1 - x^k)^(-m).  The
-    product's logarithmic derivative gives n c(n) = m sum_k sigma(k) c(n - k)
-    over k = 1..n, with sigma(k) the sum of the divisors of k.  c never
-    falls as n grows, so the table stops at its first entry over cap: for
-    any m and n it has at most as many entries as c_1 = p takes to pass cap.
+    The count never falls as n grows, so the series stops at its first
+    coefficient over cap: for any m and n it has at most as many entries
+    as the partition numbers take to pass cap.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if n < 0:
         return 0
-    coeffs = [1]
-    sigma = [0]
-    while len(coeffs) <= n and coeffs[-1] <= cap:
-        t = len(coeffs)
-        sigma.append(sum(d for d in range(1, t + 1) if t % d == 0))
-        coeffs.append(m * sum(sigma[k] * coeffs[t - k] for k in range(1, t + 1)) // t)
-    return min(coeffs[-1], cap + 1)
+    return min(euler_product(lambda _: -m, n, cap)[-1], cap + 1)
 
 
 def removable_nodes(mp: Multipartition) -> tuple[Node, ...]:

@@ -16,21 +16,27 @@ between it and the fast path is a genuine two-route check.  Only the
 multipartition enumeration is shared plumbing (it has its own
 generating-function cross-check in the test suite).
 
-The sweep half (`regime_locus`) runs both routes, the fast path through
-`structure.classify_regime` (which calls the kernel) and the verifier's
-recursion, and reads the parameter-side regime test from `params`.  Both
-routes take the kind from a label-by-label count of simple modules, which
-reads no relation, so a wrong shared test still shows: a missed regime
-point makes `classify_regime` raise InconsistentRegimeError, and an
-accepted point outside the regime is a prediction mismatch.
+The sweep half (`regime_locus`) runs three routes to a point's kind:
+`structure.classify_regime`, which counts the simple modules by the
+principal-specialization formula (`simples.kleshchev_count`) and makes at
+most one single-label kernel call; the kernel's verdict on every label
+(`simples.simple_count`, in bulk); and the verifier's recursion.  It reads
+the parameter-side regime test from `params`.  Each route takes the kind
+from a count of simple modules, which reads no relation, so a wrong shared
+test still shows: a missed regime point makes `classify_regime` raise
+InconsistentRegimeError, and an accepted point outside the regime is a
+prediction mismatch.
 
 Beyond m and whether e = 1, the oracle reads the parameters only through
 residues, which it compares for equality (to group nodes, or at e = 1 to
-compare class labels).  The fast path, `structure.classify_regime`, depends
-only on the same residue pattern (see `_residue_pattern`):
+compare class labels).  The kernel route depends only on the same residue
+pattern (see `_residue_pattern`), and so does `structure.classify_regime`:
 
 - the kernel reads only the residues of nodes of labels of size <= n, and
   their contents lie in -n..n;
+- the formula's count equals the kernel's (tier-1 compares the two at every
+  default grid point and on seeded schemes, and the sweep compares them at
+  every pattern it visits), so it is a function of the pattern too;
 - a relation u_j = q^c u_i is the equality of component j's residue at
   content 0 with component i's residue at content c.  The windows
   therefore show every relation with |c| <= 2n, which covers the scan's
@@ -39,8 +45,8 @@ only on the same residue pattern (see `_residue_pattern`):
   at most 2n, so the pattern's period fixes it, and e = 1 is a flag in the
   pattern.
 
-So `regime_locus` runs both routes once per residue pattern of the grid,
-and only the parameter-side predictor at every point.
+So `regime_locus` runs the three routes once per residue pattern of the
+grid, and only the parameter-side predictor at every point.
 
 The six content lemmas that pin down the exceptional block are exposed
 under descriptive names:
@@ -56,7 +62,7 @@ under descriptive names:
 from dataclasses import dataclass
 from itertools import product
 
-from . import structure
+from . import simples, structure
 from .combinatorics import Multipartition, enumerate_multipartitions
 from .params import ParamScheme, m1_regime_order, regime_relation, relations
 from .structure import ALMOST_SEMISIMPLE, OTHER, SEMISIMPLE
@@ -381,6 +387,7 @@ class GridPointResult:
     n: int
     scheme: ParamScheme
     fast_kind: str
+    kernel_kind: str
     oracle_kind: str
     agree: bool
     predicted_regime: bool
@@ -483,14 +490,15 @@ def _predicted_regime(scheme: ParamScheme, n: int) -> bool:
 
 
 def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:
-    """What oracle_kind(scheme, n) and classify_regime(scheme, n) read of
-    the parameters: m, n, whether e = 1, and the residues of contents
-    -n..n in each component, numbered in the order first met.  Node
-    (k, r, c) has the residue of content c - r in component k, and every
-    removable or addable node of a label of size <= n has its content in
-    that window, so two schemes with equal patterns group every node either
-    route visits alike (see the module docstring for the relation scan and
-    the m = 1 branch)."""
+    """What the three routes of `regime_locus` read of the parameters: m, n,
+    whether e = 1, and the residues of contents -n..n in each component,
+    numbered in the order first met.  Node (k, r, c) has the residue of
+    content c - r in component k, and every removable or addable node of a
+    label of size <= n has its content in that window, so two schemes with
+    equal patterns group every node the kernel or the oracle visits alike.
+    The formula's count is a function of the pattern because it equals the
+    kernel's count, which tier-1 checks; see the module docstring for the
+    relation scan and the m = 1 branch."""
     numbers: dict = {}
     pattern = tuple(
         numbers.setdefault(_residue(scheme, k, 1, 1 + d), len(numbers))
@@ -501,30 +509,34 @@ def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:
 
 
 def regime_locus(grid: SweepGrid) -> list[GridPointResult]:
-    """Evaluate every grid point with both routes.
+    """Evaluate every grid point along three routes.
 
-    fast_kind comes from structure.classify_regime and oracle_kind from the
-    naive recursion, each run once per `_residue_pattern` and reused at the
-    pattern's later points.  Both depend on the pattern alone: the kernel
-    and the oracle see only residues of contents -n..n, the windows show
-    every relation u_j = q^c u_i with |c| <= 2n (the fast path scans
-    |c| < n), and the m = 1 branch reads e only as e = n or e = n - 1, which
-    the pattern's period fixes.  predicted_regime, the parameter-side
-    condition set, is evaluated at every point.  The pattern-to-kinds dict
-    lives for this call only.  Disagreements are recorded, never
-    suppressed.
+    fast_kind comes from structure.classify_regime (the formula's count),
+    kernel_kind from the kernel's verdict on every label
+    (simples.simple_count) and oracle_kind from the naive recursion.  Each
+    runs once per `_residue_pattern` and is reused at the pattern's later
+    points: the kernel and the oracle see only residues of contents -n..n,
+    the formula's count equals the kernel's, the windows show every
+    relation u_j = q^c u_i with |c| <= 2n (the fast path scans |c| < n),
+    and the m = 1 branch reads e only as e = n or e = n - 1, which the
+    pattern's period fixes.  A point agrees when all three kinds are equal.
+    predicted_regime, the parameter-side condition set, is evaluated at
+    every point.  The pattern-to-kinds dict lives for this call only.
+    Disagreements are recorded, never suppressed.
     """
     rows = []
     kinds: dict = {}
     for m, n, scheme in grid_points(grid):
         pattern = _residue_pattern(scheme, n)
-        pair = kinds.get(pattern)
-        if pair is None:
-            pair = kinds[pattern] = (
+        routes = kinds.get(pattern)
+        if routes is None:
+            count, non_simple = simples.simple_count(scheme, n)
+            routes = kinds[pattern] = (
                 structure.classify_regime(scheme, n).kind,
+                structure.kind_of(count, count + len(non_simple)),
                 oracle_kind(scheme, n),
             )
-        fast_kind, naive_kind = pair
+        fast_kind, kernel_kind, naive_kind = routes
         predicted = _predicted_regime(scheme, n)
         rows.append(
             GridPointResult(
@@ -532,8 +544,9 @@ def regime_locus(grid: SweepGrid) -> list[GridPointResult]:
                 n=n,
                 scheme=scheme,
                 fast_kind=fast_kind,
+                kernel_kind=kernel_kind,
                 oracle_kind=naive_kind,
-                agree=fast_kind == naive_kind,
+                agree=fast_kind == kernel_kind == naive_kind,
                 predicted_regime=predicted,
                 predicted_match=(fast_kind == ALMOST_SEMISIMPLE) == predicted,
             )

@@ -6,16 +6,38 @@ additions); for q = 1 they are the multipartitions with lambda^(s) empty for
 every pair s < t with u_s = u_t.  Verdicts are computed by the kernel in
 `_kernel`; witness paths are reconstructed here by replaying good-node
 removals against kernel verdicts.
+
+`kleshchev_count` counts the simple modules without listing a label.  For
+q != 1 the Kleshchev multipartitions of n index a basis of the weight
+spaces Lambda - beta, ht beta = n, of the irreducible highest-weight module
+L(Lambda) of affine sl_e (sl_infinity at e = 0), with Lambda the sum of the
+fundamental weights Lambda_(shift mod e) of the components (Ariki, J. Math.
+Kyoto Univ. 36 (1996); Ariki-Mathas, Math. Z. 233 (2000)).  Setting every
+e^(-alpha_i) to t sends those weights to t^n, and Kac's principal
+specialization (Infinite-dimensional Lie algebras, Prop. 10.10) writes the
+result as a product over the positive roots alpha,
+
+    prod_alpha ((1 - t^(h + c)) / (1 - t^h))^(mult alpha),
+    h = <rho, alpha^v> = ht alpha,  c = <Lambda, alpha^v>,
+
+in which only roots with h <= n and c > 0 touch the coefficient of t^n.
+Class groups never share a residue, so their series multiply (see
+`_kernel.pykernel`); at q = 1 the count is that of d-multipartitions, d the
+number of distinct class labels.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _kernel
 from .combinatorics import (
     Multipartition,
     Node,
     enumerate_multipartitions,
+    euler_product,
     mp_size,
+    multipartition_count,
     remove_node,
     removable_nodes,
 )
@@ -74,15 +96,84 @@ def _q_is_one_simple(scheme: ParamScheme, mp: Multipartition) -> bool:
     return True
 
 
-def simple_count(scheme: ParamScheme, n: int) -> tuple[int, tuple[Multipartition, ...]]:
-    """Number of nonzero D^lambda and the labels with D^lambda = 0."""
-    mps = enumerate_multipartitions(scheme.m, n)
+def simple_verdicts(scheme: ParamScheme, mps) -> list[bool]:
+    """Whether D^lambda != 0, for each label: the q = 1 criterion at e = 1,
+    else the kernel's Kleshchev verdicts."""
     if scheme.e == 1:
-        flags = [_q_is_one_simple(scheme, mp) for mp in mps]
-    else:
-        flags = _kernel.kleshchev_verdicts(scheme.e, scheme.classes, scheme.shifts, mps)
+        return [_q_is_one_simple(scheme, mp) for mp in mps]
+    return _kernel.kleshchev_verdicts(scheme.e, scheme.classes, scheme.shifts, mps)
+
+
+def simple_count(scheme: ParamScheme, n: int) -> tuple[int, tuple[Multipartition, ...]]:
+    """Number of nonzero D^lambda and the labels with D^lambda = 0, from a
+    verdict on every label.  Its callers are those that list the labels:
+    the `count-simples` verb and the kernel route of the sweep.  The count
+    alone is `kleshchev_count`."""
+    mps = enumerate_multipartitions(scheme.m, n)
+    flags = simple_verdicts(scheme, mps)
     non_simple = tuple(mp for mp, ok in zip(mps, flags) if not ok)
     return len(mps) - len(non_simple), non_simple
+
+
+@lru_cache(maxsize=4096)
+def _group_series(e: int, offsets: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Coefficients of t^0..t^n of the principal specialization of L(Lambda)
+    for one class group with shifts `offsets` (e != 1): prod_a (1 - t^a)^E_a,
+    where each root (h, c) with c > 0 adds -mult to E_h and +mult to
+    E_(h+c)."""
+    exponents = [0] * (n + 1)
+    weight = Counter(offsets)  # lambda_i = <Lambda, alpha_i^v>
+
+    def root(height, value, mult=1):
+        if value and height <= n:
+            exponents[height] -= mult
+            if height + value <= n:
+                exponents[height + value] += mult
+
+    if e:
+        # k delta + alpha_I for every proper cyclic interval I of Z/e, and
+        # k delta (k >= 1) with multiplicity e - 1.
+        level = len(offsets)
+        for k in range(n // e + 1):
+            for start in range(e):
+                value = k * level
+                for length in range(1, min(e - 1, n - k * e) + 1):
+                    value += weight[(start + length - 1) % e]
+                    root(k * e + length, value)
+            if k:
+                root(k * e, k * level, e - 1)
+    else:
+        # The intervals [start, start + length) of Z that meet a shift.
+        for start in {s - d for s in offsets for d in range(n)}:
+            value = 0
+            for length in range(1, n + 1):
+                value += weight[start + length - 1]
+                root(length, value)
+    return tuple(euler_product(exponents.__getitem__, n))
+
+
+def kleshchev_count(scheme: ParamScheme, n: int) -> int:
+    """Number of nonzero D^lambda of H_n, from the principal specialization
+    of L(Lambda) (see the module docstring), without listing a label.
+
+    Each class group's series is kept in a bounded cache, keyed on e, the
+    group's shifts less its first component's shift (reduced mod e), and n;
+    the count is the t^n coefficient of the product of the groups' series.
+    """
+    groups: dict[int, list[int]] = {}
+    for cls, shift in zip(scheme.classes, scheme.shifts):
+        groups.setdefault(cls, []).append(shift)
+    e = scheme.e
+    if e == 1:
+        return multipartition_count(len(groups), n)
+    series = None
+    for shifts in groups.values():
+        offsets = (s - shifts[0] for s in shifts)
+        factor = _group_series(e, tuple(sorted(x % e if e else x for x in offsets)), n)
+        series = factor if series is None else [
+            sum(series[i] * factor[t - i] for i in range(t + 1)) for t in range(n + 1)
+        ]
+    return series[n]
 
 
 def _quantum_factorial_nonzero(e: int, n: int) -> bool:

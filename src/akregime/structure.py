@@ -6,14 +6,20 @@ completely rigid: its decomposition matrix is unit-bidiagonal, the Cartan
 matrix is tridiagonal (2,1), and the KZ dimensions are binomial
 coefficients.
 
-At a point with N - 1 simple modules classify_regime checks the facts the
-regime forces, each once:
+classify_regime lists no label.  It takes N = |Irrep(W)| from the
+generating function and the number of simple modules from
+`simples.kleshchev_count`.  At a point with N - 1 simple modules it checks
+the facts the regime forces, each once:
 
     m >= 2   exactly one relation u_j = q^c u_i with i < j and |c| < n,
              and that one has |c| = n - 1; the row or column of n boxes it
-             forces is the only non-Kleshchev label
+             forces is not simple
     m = 1    order n, or n - 1 >= 2 (which gives the e-restricted count
-             p(n) - 1); the row (n) as the only non-Kleshchev label
+             p(n) - 1); the row (n) is not simple
+
+The forced label costs one single-label kernel call (the q = 1 criterion
+at e = 1).  Exactly one label is missing from the count, so a forced label
+that is not simple is the one non-simple label.
 
 The parameter-side tests are `params.regime_relation` (m >= 2) and
 `params.m1_regime_order` (m = 1); the former's docstring says why q != 1,
@@ -38,7 +44,7 @@ from .combinatorics import (
     partitions,
 )
 from .params import KappaInput, ParamScheme, derive_r, m1_regime_order, regime_relation, relations
-from .simples import simple_count
+from .simples import kleshchev_count, simple_verdicts
 
 SEMISIMPLE = "semisimple"
 ALMOST_SEMISIMPLE = "almost_semisimple"
@@ -48,7 +54,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 class InconsistentRegimeError(RuntimeError):
-    """simple_count = N - 1 but the forced parameter facts fail:
+    """N - 1 simple modules but the forced facts fail:
     "inconsistent-regime" (signals an implementation bug, not bad input)."""
 
 
@@ -111,6 +117,14 @@ def _verify_regime_facts(scheme: ParamScheme, n: int) -> tuple[int, int, int]:
     return witness
 
 
+def kind_of(simple_count: int, irrep_count: int) -> str:
+    """SEMISIMPLE with every label simple, ALMOST_SEMISIMPLE with one
+    missing, OTHER otherwise."""
+    if simple_count == irrep_count:
+        return SEMISIMPLE
+    return ALMOST_SEMISIMPLE if simple_count == irrep_count - 1 else OTHER
+
+
 def classify_regime(
     scheme: ParamScheme, n: int, kappa: KappaInput | None = None
 ) -> RegimeReport:
@@ -124,11 +138,10 @@ def classify_regime(
     if n < 1:
         raise ValueError("n must be >= 1")
     total = multipartition_count(scheme.m, n)
-    count, non_simple = simple_count(scheme, n)
-    if count == total:
-        return RegimeReport(scheme.m, n, SEMISIMPLE, count, total)
-    if count != total - 1:
-        return RegimeReport(scheme.m, n, OTHER, count, total)
+    count = kleshchev_count(scheme, n)
+    kind = kind_of(count, total)
+    if kind != ALMOST_SEMISIMPLE:
+        return RegimeReport(scheme.m, n, kind, count, total)
 
     if scheme.m == 1:
         if not m1_regime_order(scheme.e, n):
@@ -140,9 +153,9 @@ def classify_regime(
     else:
         witness = _verify_regime_facts(scheme, n)
         expected = non_kleshchev_label(scheme.m, n, witness)
-    if non_simple != (expected,):
+    if simple_verdicts(scheme, [expected])[0]:
         raise InconsistentRegimeError(
-            f"inconsistent-regime: m={scheme.m} non-simple labels {non_simple} != ({expected},)"
+            f"inconsistent-regime: m={scheme.m} count N-1 but the forced label {expected} is simple"
         )
 
     r = dim_l = None
@@ -153,7 +166,7 @@ def classify_regime(
         dim_l = r**n
     return RegimeReport(
         scheme.m, n, ALMOST_SEMISIMPLE, count, total,
-        witness=witness, non_kleshchev=non_simple[0], r=r, dim_L_chi=dim_l,
+        witness=witness, non_kleshchev=expected, r=r, dim_L_chi=dim_l,
     )
 
 

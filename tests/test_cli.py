@@ -221,6 +221,49 @@ def test_oversized_input_exits_1_before_enumerating(argv, capsys, monkeypatch):
     assert "error: over-budget: m=3, n=30 has more than 350000 labels (m-multipartitions" in err
 
 
+@pytest.mark.parametrize(
+    "scheme, line, kernel_calls",
+    [
+        (
+            "e=0;class=0,0,0;shift=0,1,3",
+            "kind=other\tsimple_count=126435\tirrep_count=341649\twitness=none\tnon_kleshchev=none",
+            [],
+        ),
+        (
+            "e=0;class=0,0,1;shift=0,19,0",
+            "kind=almost_semisimple\tsimple_count=341648\tirrep_count=341649"
+            "\twitness=(1,2,+19)\tnon_kleshchev=[(20),(),()]",
+            [1],
+        ),
+    ],
+    ids=["other", "regime"],
+)
+def test_classify_m3_n20_lists_no_label(scheme, line, kernel_calls, monkeypatch):
+    # 341,649 labels.  classify counts them and the simple modules by
+    # generating functions; the kernel sees at most the one forced label.
+    def refuse(m, n):
+        raise AssertionError(f"enumerated m={m}, n={n}")
+
+    for module in (
+        akregime.combinatorics, akregime.blocks, akregime.oracle,
+        akregime.simples, akregime.structure,
+    ):
+        monkeypatch.setattr(module, "enumerate_multipartitions", refuse)
+    sizes = []
+    verdicts = akregime._kernel.kleshchev_verdicts
+
+    def kernel(e, classes, shifts, mps):
+        sizes.append(len(mps))
+        return verdicts(e, classes, shifts, mps)
+
+    monkeypatch.setattr(akregime._kernel, "kleshchev_verdicts", kernel)
+    started = time.perf_counter()
+    argv = ["classify", "--m", "3", "--n", "20", "--scheme", scheme, "--format", "machine"]
+    status, out = invoke(*argv)
+    assert time.perf_counter() - started < 0.5
+    assert (status, out, sizes) == (0, line + "\n", kernel_calls)
+
+
 def test_label_limit_admits_m3_n20():
     # The limit is set from m = 3, n = 20 (341,649 labels): that point runs,
     # the next n does not.

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -6,6 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from akregime import _kernel, oracle, structure
+from akregime.cli import run
 from akregime._kernel import pykernel
 from akregime.combinatorics import addable_nodes, enumerate_multipartitions, removable_nodes
 from akregime.oracle import (
@@ -530,6 +532,26 @@ def test_planted_fast_kind_shows_at_a_reused_pattern(monkeypatch):
     assert [row.scheme for row in wrong] == schemes
     assert all(_residue_pattern(row.scheme, row.n) == planted_pattern for row in wrong)
     assert {row.oracle_kind for row in wrong} == {oracle_kind(planted, 3)}
+
+
+def test_planted_formula_count_shows_as_a_disagreement(monkeypatch):
+    # The formula's count two short at one semisimple pattern: the fast kind
+    # reads other there, against the kernel's and the oracle's semisimple.
+    planted = ParamScheme(m=2, e=0, classes=(0, 1), shifts=(0, 0))
+    count = structure.kleshchev_count
+
+    def plant(scheme, n):
+        return count(scheme, n) - 2 * (scheme == planted and n == 2)
+
+    monkeypatch.setattr(structure, "kleshchev_count", plant)
+    rows = regime_locus(SweepGrid(m_values=(2,), n_values=(2,)))
+    wrong = [row for row in rows if not row.agree]
+    assert locus_summary(rows)["disagreements"] >= 1
+    assert planted in [row.scheme for row in wrong]
+    assert {(row.fast_kind, row.kernel_kind, row.oracle_kind) for row in wrong} == {
+        (OTHER, SEMISIMPLE, SEMISIMPLE)
+    }
+    assert run(["sweep", "--grid", "m=2;n=2", "--format", "machine"], io.StringIO()) == 2
 
 
 def test_unique_relation_implies_the_other_regime_facts():

@@ -1,8 +1,9 @@
+import random
 from itertools import permutations
 
 import pytest
 
-from akregime import _kernel
+from akregime import _kernel, simples
 from akregime.combinatorics import (
     enumerate_multipartitions,
     mp_size,
@@ -16,6 +17,7 @@ from akregime.simples import (
     ariki_semisimple,
     good_node,
     is_kleshchev,
+    kleshchev_count,
     simple_count,
 )
 
@@ -175,3 +177,57 @@ def test_count_invariant_under_permutation_and_negation():
             variants.append(ParamScheme(m=m, e=scheme.e, classes=classes, shifts=shifts))
         for variant in variants:
             assert simple_count(variant, n)[0] == count, (scheme, variant)
+
+
+# --- the count from the principal specialization --------------------------------
+
+def test_kleshchev_count_matches_the_kernel_on_the_default_grid():
+    # Every default-grid point, e = 1 included: the formula against a
+    # verdict on every label.
+    points = 0
+    for _, n, scheme in grid_points(SweepGrid()):
+        assert kleshchev_count(scheme, n) == simple_count(scheme, n)[0], (scheme, n)
+        points += 1
+    assert points == 4151
+
+
+# The largest n drawn for each m keeps every point under 2000 labels.
+SEEDED_N = {1: 14, 2: 8, 3: 6, 4: 5}
+
+
+def test_kleshchev_count_matches_the_kernel_on_seeded_schemes():
+    # Up to 3 class labels, so a class group may hold any of the m
+    # components, and shifts on both sides of the first component's, so a
+    # group's offsets must be reduced mod e.  Dropping the e - 1
+    # multiplicity of k delta, the roots -alpha + k delta at
+    # k = floor(n/e) + 1 (the intervals through residue 0 at the top k), or
+    # the reduction mod e each fails here.
+    rng = random.Random(16)
+    kinds = set()
+    for _ in range(600):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, SEEDED_N[m])
+        e = rng.choice((0, 0, 1, rng.randint(2, n + 1), rng.randint(2, 2 * n + 2)))
+        labels = rng.randint(1, 3)
+        scheme = ParamScheme(
+            m=m,
+            e=e,
+            classes=tuple(rng.randrange(labels) for _ in range(m)),
+            shifts=tuple(rng.randint(-2 * n, 3 * n) for _ in range(m)),
+        )
+        count = simple_count(scheme, n)[0]
+        assert kleshchev_count(scheme, n) == count, (scheme, n)
+        kinds.add(count == multipartition_count(m, n))
+    assert kinds == {True, False}
+
+
+def test_kleshchev_count_reaches_points_beyond_the_label_limit():
+    # m = 3, n = 30 has 16,790,136 labels.  With three distinct classes
+    # every label is Kleshchev; with one class and a far shift, the count
+    # falls.
+    generic = ParamScheme(m=3, e=0, classes=(0, 1, 2), shifts=(0, 0, 0))
+    assert kleshchev_count(generic, 30) == multipartition_count(3, 30) == 16_790_136
+    assert kleshchev_count(ParamScheme(m=3, e=0, classes=(0, 0, 0), shifts=(0, 1, 3)), 30) == (
+        4_718_712
+    )
+    assert simples._group_series.cache_info().maxsize is not None

@@ -6,9 +6,9 @@ from math import comb, factorial
 
 import pytest
 
-from akregime import structure
+from akregime import _kernel, simples, structure
 from akregime.cli import run
-from akregime.combinatorics import partitions
+from akregime.combinatorics import multipartition_count, partitions
 from akregime.params import KappaInput, ParamScheme, scheme_from_kappa
 from akregime.structure import (
     ALMOST_SEMISIMPLE,
@@ -287,54 +287,67 @@ def test_order_one_below_bound_is_not_regime():
 
 
 # --- regime checks ---------------------------------------------------------------
-# Each check that classify_regime keeps must be able to fail.  simple_count
-# is replaced so that it reports N - 1 simple modules where the point's
-# parameters cannot produce that count, or names the wrong missing label.
+# Each check that classify_regime keeps must be able to fail.  The count is
+# replaced so that it reports N - 1 simple modules where the point's
+# parameters cannot produce that count ("count"), or the verdict on the
+# forced label is replaced so that it calls that label simple: the kernel
+# ("kernel") or, at q = 1, the q = 1 criterion ("q-one").
 
 BROKEN_REGIME = {
     "m2-no-relation": (
-        ParamScheme(m=2, e=0, classes=(0, 1), shifts=(0, 0)), 2, ((2,), ()),
+        ParamScheme(m=2, e=0, classes=(0, 1), shifts=(0, 0)), 2, "count",
         "not a unique +-(n-1) relation",
     ),
     # q = 1 and order 2n - 2 fail through the uniqueness of the relation.
     "m2-q-one": (
-        ParamScheme(m=2, e=1, classes=(0, 0), shifts=(0, 0)), 2, ((2,), ()),
+        ParamScheme(m=2, e=1, classes=(0, 0), shifts=(0, 0)), 2, "count",
         "not a unique +-(n-1) relation",
     ),
     "m2-order-2n-2": (
-        ParamScheme(m=2, e=2, classes=(0, 0), shifts=(0, 1)), 2, ((2,), ()),
+        ParamScheme(m=2, e=2, classes=(0, 0), shifts=(0, 1)), 2, "count",
         "not a unique +-(n-1) relation",
     ),
-    "m2-wrong-label": (REGIME_M2, 2, ((1, 1), ()), "non-simple labels"),
+    "m2-wrong-label": (REGIME_M2, 2, "kernel", "m=2 count N-1 but the forced label"),
+    "m2-q-one-wrong-label": (
+        ParamScheme(m=2, e=1, classes=(0, 0), shifts=(0, 0)), 1, "q-one",
+        "m=2 count N-1 but the forced label",
+    ),
     "m1-infinite-order": (
-        ParamScheme(m=1, e=0, classes=(0,), shifts=(0,)), 3, ((3,),), "order 0",
+        ParamScheme(m=1, e=0, classes=(0,), shifts=(0,)), 3, "count", "order 0",
     ),
     "m1-wrong-label": (
-        ParamScheme(m=1, e=3, classes=(0,), shifts=(0,)), 3, ((2, 1),),
-        "m=1 non-simple labels",
+        ParamScheme(m=1, e=3, classes=(0,), shifts=(0,)), 3, "kernel",
+        "m=1 count N-1 but the forced label",
     ),
 }
 
 
-def _fake_simple_count(label):
-    def simple_count(scheme, n):
-        return structure.multipartition_count(scheme.m, n) - 1, (label,)
-
-    return simple_count
+def _break(monkeypatch, how):
+    if how == "count":
+        monkeypatch.setattr(
+            structure, "kleshchev_count", lambda scheme, n: multipartition_count(scheme.m, n) - 1
+        )
+    elif how == "kernel":
+        monkeypatch.setattr(
+            _kernel, "kleshchev_verdicts", lambda e, classes, shifts, mps: [True] * len(mps)
+        )
+    else:
+        monkeypatch.setattr(simples, "_q_is_one_simple", lambda scheme, mp: True)
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_REGIME))
 def test_regime_checks_can_fail(case, monkeypatch):
-    scheme, n, label, message = BROKEN_REGIME[case]
-    monkeypatch.setattr(structure, "simple_count", _fake_simple_count(label))
+    scheme, n, how, message = BROKEN_REGIME[case]
+    classify_regime(scheme, n)  # the point itself is consistent
+    _break(monkeypatch, how)
     with pytest.raises(InconsistentRegimeError, match=re.escape(message)):
         classify_regime(scheme, n)
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_REGIME))
 def test_inconsistent_regime_exits_2(case, monkeypatch, capsys):
-    scheme, n, label, _ = BROKEN_REGIME[case]
-    monkeypatch.setattr(structure, "simple_count", _fake_simple_count(label))
+    scheme, n, how, _ = BROKEN_REGIME[case]
+    _break(monkeypatch, how)
     argv = ["classify", "--m", str(scheme.m), "--n", str(n), "--scheme", scheme.describe()]
     assert run(argv, io.StringIO()) == 2
     assert "inconsistent-regime" in capsys.readouterr().err
