@@ -35,8 +35,9 @@ pattern (see `_residue_pattern`), and so does `structure.classify_regime`:
 - the kernel reads only the residues of nodes of labels of size <= n, and
   their contents lie in -n..n;
 - the formula's count equals the kernel's (tier-1 compares the two at every
-  default grid point and on seeded schemes, and the sweep compares them at
-  every pattern it visits), so it is a function of the pattern too;
+  default grid point and on seeded schemes, and the sweep compares the
+  kinds they give at every pattern it visits), so it is a function of the
+  pattern too;
 - a relation u_j = q^c u_i is the equality of component j's residue at
   content 0 with component i's residue at content c.  The windows
   therefore show every relation with |c| <= 2n, which covers the scan's
