@@ -36,7 +36,7 @@ import sys
 from . import bn as bn_mod
 from . import oracle, structure
 from .blocks import BadWitnessError, block_partition
-from .combinatorics import Multipartition, multipartition_count, multipartition_count_capped
+from .combinatorics import Multipartition, multipartition_count
 from .params import (
     KappaInput,
     ParamScheme,
@@ -82,6 +82,10 @@ def format_multipartition(mp: Multipartition) -> str:
     return "[" + ",".join("(" + ",".join(str(p) for p in part) + ")" for part in mp) + "]"
 
 
+def _format_labels(mps) -> str:
+    return "|".join(format_multipartition(mp) for mp in mps or ()) or "none"
+
+
 def format_matrix(rows) -> str:
     return ";".join(",".join(str(x) for x in row) for row in rows)
 
@@ -111,7 +115,7 @@ def _write_pairs(out, pairs, fmt) -> None:
 
 
 def _check_budget(m: int, n: int) -> None:
-    if multipartition_count_capped(m, n, LABEL_LIMIT) > LABEL_LIMIT:
+    if multipartition_count(m, n, cap=LABEL_LIMIT) > LABEL_LIMIT:
         raise ValueError(
             f"over-budget: m={m}, n={n} has more than {LABEL_LIMIT} labels "
             f"(m-multipartitions of n), the limit for one point"
@@ -125,7 +129,7 @@ def _check_grid_budget(grid: oracle.SweepGrid) -> None:
             _check_budget(m, n)
     label_points = 0
     for m, n, points in oracle.grid_point_counts(grid, GRID_LIMIT):
-        label_points += points * multipartition_count_capped(m, n, LABEL_LIMIT)
+        label_points += points * multipartition_count(m, n, cap=LABEL_LIMIT)
         if label_points > GRID_LIMIT:
             raise ValueError(
                 f"over-budget: the grid's label-points (each point's labels, summed "
@@ -160,7 +164,7 @@ def _cmd_count_simples(args, out) -> int:
         ("e", scheme.e),
         ("simple_count", count),
         ("irrep_count", multipartition_count(scheme.m, n)),
-        ("non_simple", "|".join(format_multipartition(mp) for mp in non_simple) or "none"),
+        ("non_simple", _format_labels(non_simple)),
     ]
     _write_pairs(out, pairs, args.format)
     return 0
@@ -203,7 +207,7 @@ def _cmd_blocks(args, out) -> int:
                 [
                     ("block", idx),
                     ("size", len(block)),
-                    ("members", "|".join(format_multipartition(mp) for mp in block)),
+                    ("members", _format_labels(block)),
                 ],
             )
     else:
@@ -226,18 +230,8 @@ def _cmd_block_structure(args, out) -> int:
     bs = structure.block_structure(*_regime_point(args))
     pairs = [
         ("n", bs.n),
-        (
-            "specht_order",
-            "|".join(format_multipartition(mp) for mp in bs.specht_order)
-            if bs.specht_order
-            else "none",
-        ),
-        (
-            "simple_order",
-            "|".join(format_multipartition(mp) for mp in bs.simple_order)
-            if bs.simple_order
-            else "none",
-        ),
+        ("specht_order", _format_labels(bs.specht_order)),
+        ("simple_order", _format_labels(bs.simple_order)),
         ("decomposition", format_matrix(bs.decomposition)),
         ("cartan", format_matrix(bs.cartan)),
         ("hom_dims", format_matrix(bs.hom_dims)),

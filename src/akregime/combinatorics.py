@@ -8,6 +8,7 @@ concurrent use without coordination.
 """
 
 from functools import cache, lru_cache
+from itertools import product
 from math import comb, factorial, prod
 from typing import Iterator, NamedTuple
 
@@ -77,18 +78,8 @@ def enumerate_multipartitions(m: int, n: int) -> tuple[Multipartition, ...]:
         raise ValueError("n must be nonnegative")
     out: list[Multipartition] = []
     for sizes in _compositions_desc(n, m):
-        choices = [partitions(k) for k in sizes]
-        out.extend(_product(choices))
+        out.extend(product(*(partitions(k) for k in sizes)))
     return tuple(out)
-
-
-def _product(choices: list[tuple[Partition, ...]]) -> Iterator[Multipartition]:
-    if not choices:
-        yield ()
-        return
-    for head in choices[0]:
-        for tail in _product(choices[1:]):
-            yield (head,) + tail
 
 
 def euler_product(exponent, n: int, cap: int | None = None) -> list[int]:
@@ -109,29 +100,22 @@ def euler_product(exponent, n: int, cap: int | None = None) -> list[int]:
 
 
 @lru_cache(maxsize=1024)
-def multipartition_count(m: int, n: int) -> int:
+def multipartition_count(m: int, n: int, cap: int | None = None) -> int:
     """|Irrep(W)| = number of m-multipartitions of n: the coefficient of
-    t^n in prod_k (1 - t^k)^(-m), found without enumerating them."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return euler_product(lambda _: -m, n)[n]
+    t^n in prod_k (1 - t^k)^(-m), found without enumerating them, and 0
+    for n < 0.
 
-
-@cache
-def multipartition_count_capped(m: int, n: int, cap: int) -> int:
-    """The number of m-multipartitions of n, or cap + 1 when it is larger.
-
-    The count never falls as n grows, so the series stops at its first
-    coefficient over cap: for any m and n it has at most as many entries
-    as the partition numbers take to pass cap.
+    With `cap` it is the count or cap + 1, whichever is smaller.  The count
+    never falls as n grows, so the series stops at its first coefficient
+    over cap: for any m and n it has at most as many entries as the
+    partition numbers take to pass cap.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if n < 0:
         return 0
-    return min(euler_product(lambda _: -m, n, cap)[-1], cap + 1)
+    count = euler_product(lambda _: -m, n, cap)[-1]
+    return count if cap is None else min(count, cap + 1)
 
 
 def removable_nodes(mp: Multipartition) -> tuple[Node, ...]:

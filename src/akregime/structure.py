@@ -105,18 +105,6 @@ def family_orientation(witness: tuple[int, int, int]) -> tuple[int, int]:
     return (i, j) if c >= 0 else (j, i)
 
 
-def _verify_regime_facts(scheme: ParamScheme, n: int) -> tuple[int, int, int]:
-    """Check the relation forced by simple_count = N - 1 for m >= 2 and
-    return it as the unique normalized witness (`params.regime_relation`)."""
-    witness = regime_relation(scheme, n)
-    if witness is None:
-        raise InconsistentRegimeError(
-            f"inconsistent-regime: relations {relations(scheme, n)} "
-            "not a unique +-(n-1) relation"
-        )
-    return witness
-
-
 def kind_of(simple_count: int, irrep_count: int) -> str:
     """SEMISIMPLE with every label simple, ALMOST_SEMISIMPLE with one
     missing, OTHER otherwise."""
@@ -151,7 +139,12 @@ def classify_regime(
         witness = None
         expected = ((n,),)
     else:
-        witness = _verify_regime_facts(scheme, n)
+        witness = regime_relation(scheme, n)
+        if witness is None:
+            raise InconsistentRegimeError(
+                f"inconsistent-regime: relations {relations(scheme, n)} "
+                "not a unique +-(n-1) relation"
+            )
         expected = non_kleshchev_label(scheme.m, n, witness)
     if simple_verdicts(scheme, [expected])[0]:
         raise InconsistentRegimeError(
@@ -237,9 +230,14 @@ def hecke_dimension_audit(
     contributes sum_ab w_a w_b C_ab, its projective Hom table C weighted by
     the P_KZ multiplicities w.  For m >= 2 the block's labels, C and w are
     read from what block_structure emits (specht_order, cartan, kz_dims),
-    so a wrong emitted matrix makes the total miss m^n * n!.  For m = 1 the
-    exceptional block consists of the hook partitions and the Hom table is
-    the rigid block's with n - 1 simple modules.
+    so a wrong emitted matrix makes the total miss m^n * n!.
+
+    The m = 1 branch reads only n: it takes the hooks as the exceptional
+    block and the rigid block's Hom table with n - 1 simple modules, which
+    reassemble n! for every n, so it cannot fail.  The hooks are not always
+    the block: at n = 4, e = 3 `blocks` gives {(4), (2,2), (1^4)}, and the
+    audit still matches there and at e = 4.  An m = 1 block computed from
+    the point (ROADMAP.md, item 2) would make this branch able to fail.
     """
     if report.kind != ALMOST_SEMISIMPLE:
         raise ValueError("the audit applies to the almost-semisimple regime")

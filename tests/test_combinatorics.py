@@ -10,7 +10,6 @@ from akregime.combinatorics import (
     enumerate_multipartitions,
     mp_size,
     multipartition_count,
-    multipartition_count_capped,
     partitions,
     removable_nodes,
     remove_node,
@@ -135,16 +134,22 @@ def test_enumeration_matches_generating_function(m, n):
     assert all(is_multipartition(mp, m) and mp_size(mp) == n for mp in mps)
     assert multipartition_count(m, n) == len(mps)
     for cap in (len(mps) - 1, len(mps), 10**9):
-        assert multipartition_count_capped(m, n, cap) == min(len(mps), cap + 1)
+        assert multipartition_count(m, n, cap=cap) == min(len(mps), cap + 1)
+    # The canonical order from its definition: component sizes, descending
+    # lexicographic, then the part lists, descending lexicographic.
+    ordered = sorted(set(mps), key=lambda mp: (tuple(map(sum, mp)), mp), reverse=True)
+    assert list(mps) == ordered
 
 
 def test_capped_count_stops_at_the_cap():
     # 341,649 labels at m = 3, n = 20.  The table stops at its first entry
     # over the cap, so a huge m or n costs no more than p passing it.
-    assert multipartition_count_capped(3, 20, 341_648) == 341_649
-    assert multipartition_count_capped(3, 10**12, 1000) == 1001
-    assert multipartition_count_capped(10**12, 10**12, 1000) == 1001
-    assert multipartition_count_capped(2, -1, 10) == 0
+    assert multipartition_count(3, 20, cap=341_648) == 341_649
+    assert multipartition_count(3, 20, cap=341_649) == 341_649
+    assert multipartition_count(3, 10**12, cap=1000) == 1001
+    assert multipartition_count(10**12, 10**12, cap=1000) == 1001
+    assert multipartition_count(2, -1, cap=10) == 0
+    assert multipartition_count(2, -1) == 0
 
 
 def test_partitions_descending_order():
