@@ -11,6 +11,9 @@ every structure constant 0 or 1 the multiplication table is a fixed integer
 table depending on n alone: build_bn takes nothing but n, so regime
 instances with equal n share one table by construction.
 
+The table is sparse: it holds the nonzero products only, and a pair of basis
+elements missing from it multiplies to zero.
+
 Composition convention: a * b applies b first, so a * b != 0 needs
 target(b) = source(a); f_{i,j} points from vertex i to vertex j.
 """
@@ -22,6 +25,12 @@ Combination = tuple[tuple[int, int], ...]  # ((basis index, coefficient), ...)
 
 @dataclass(frozen=True)
 class BasicAlgebra:
+    """A finite-dimensional algebra on a basis of paths.
+
+    mult maps a pair (a, b) of basis indices to a * b and holds the nonzero
+    products only: a pair missing from it is a zero product.  Read products
+    through `product`."""
+
     n: int
     basis: tuple[str, ...]
     source: tuple[int, ...]
@@ -34,17 +43,16 @@ class BasicAlgebra:
         return len(self.basis)
 
     def product(self, a: int, b: int) -> Combination:
-        return self.mult[(a, b)]
+        """a * b; () when the pair is missing from mult, a zero product."""
+        return self.mult.get((a, b), ())
 
     def table_text(self) -> str:
         """Deterministic export: basis labels, then the nonzero triples."""
         lines = ["basis=" + ",".join(self.basis)]
-        dim = len(self.basis)
-        for a in range(dim):
-            for b in range(dim):
-                for idx, coeff in self.mult[(a, b)]:
-                    term = self.basis[idx] if coeff == 1 else f"{coeff}*{self.basis[idx]}"
-                    lines.append(f"{self.basis[a]},{self.basis[b]},{term}")
+        for a, b in sorted(self.mult):
+            for idx, coeff in self.mult[a, b]:
+                term = self.basis[idx] if coeff == 1 else f"{coeff}*{self.basis[idx]}"
+                lines.append(f"{self.basis[a]},{self.basis[b]},{term}")
         return "\n".join(lines)
 
 
@@ -70,14 +78,20 @@ def build_bn(n: int) -> BasicAlgebra:
 
     e = [put(f"e_{i}", i, i, 0) for i in range(1, n + 1)]
     xi = [put(f"xi_{i}", i, i, 2) for i in range(1, n + 1)]
-    f_up = {i: put(f"f_{i}_{i + 1}", i, i + 1, 1) for i in range(1, n)}
-    f_down = {i: put(f"f_{i}_{i - 1}", i, i - 1, 1) for i in range(2, n + 1)}
+    f_up = [put(f"f_{i}_{i + 1}", i, i + 1, 1) for i in range(1, n)]
+    f_down = [put(f"f_{i + 1}_{i}", i + 1, i, 1) for i in range(1, n)]
 
-    dim = len(basis)
     mult: dict[tuple[int, int], Combination] = {}
-    for a in range(dim):
-        for b in range(dim):
-            mult[(a, b)] = _basis_product(a, b, e, xi, f_up, f_down, source, target)
+    for b in range(len(basis)):
+        # The idempotents at the ends of a path fix it.
+        mult[e[target[b] - 1], b] = ((b, 1),)
+        mult[b, e[source[b] - 1]] = ((b, 1),)
+    # xi is the socle, so it dies against every other radical element, and
+    # so do the paths i -> i+-1 -> i+-2.  What is left are the round trips
+    # i -> i+1 -> i and i+1 -> i -> i+1, equal to xi_i and xi_{i+1}.
+    for i, (up, down) in enumerate(zip(f_up, f_down)):
+        mult[down, up] = ((xi[i], 1),)
+        mult[up, down] = ((xi[i + 1], 1),)
     return BasicAlgebra(
         n=n,
         basis=tuple(basis),
@@ -88,32 +102,12 @@ def build_bn(n: int) -> BasicAlgebra:
     )
 
 
-def _basis_product(a, b, e, xi, f_up, f_down, source, target) -> Combination:
-    # a * b applies b first: composable iff target(b) == source(a).
-    if target[b] != source[a]:
-        return ()
-    if a in e:
-        return ((b, 1),)
-    if b in e:
-        return ((a, 1),)
-    # xi is the socle map: any composition with another radical element dies.
-    if a in xi or b in xi:
-        return ()
-    # Both are arrows.  The only surviving length-2 paths are the
-    # round trips i -> i+-1 -> i, each equal to xi_i.
-    vertex = source[b]
-    if source[a] == target[b] and target[a] == vertex:
-        return ((xi[vertex - 1], 1),)
-    # A path i -> i+-1 -> i+-2 lands in a zero Hom space.
-    return ()
-
-
 def multiply(algebra: BasicAlgebra, left: Combination, right: Combination) -> Combination:
     """Product of two integer combinations of basis elements."""
     acc: dict[int, int] = {}
     for a, ca in left:
         for b, cb in right:
-            for idx, coeff in algebra.mult[(a, b)]:
+            for idx, coeff in algebra.product(a, b):
                 acc[idx] = acc.get(idx, 0) + ca * cb * coeff
     return tuple(sorted((idx, coeff) for idx, coeff in acc.items() if coeff))
 
@@ -127,66 +121,51 @@ def associativity_violations(algebra: BasicAlgebra) -> list[tuple[int, int, int]
     bad = []
     for a in range(dim):
         for b in range(dim):
-            ab = algebra.mult[(a, b)]
+            ab = algebra.product(a, b)
             for c in range(dim):
                 left = multiply(algebra, ab, ((c, 1),))
-                right = multiply(algebra, ((a, 1),), algebra.mult[(b, c)])
+                right = multiply(algebra, ((a, 1),), algebra.product(b, c))
                 if left != right:
                     bad.append((a, b, c))
     return bad
 
 
-def regular_representation(algebra: BasicAlgebra) -> list[list[list[int]]]:
-    """Left-multiplication matrices, one per basis element.
+def regular_representation(algebra: BasicAlgebra) -> list[list[tuple[int, int, int]]]:
+    """Left multiplication by each basis element, as the entries of its matrix.
 
-    mat[a][i][j] is the coefficient of basis i in a * basis j.
-    """
-    dim = algebra.dimension
-    mats = []
-    for a in range(dim):
-        mat = [[0] * dim for _ in range(dim)]
-        for j in range(dim):
-            for idx, coeff in algebra.mult[(a, j)]:
-                mat[idx][j] += coeff
-        mats.append(mat)
-    return mats
+    (i, j, x) in entries[a] adds x to the coefficient of basis i in
+    a * basis j; every other entry of mat(a) is zero."""
+    entries: list[list[tuple[int, int, int]]] = [[] for _ in algebra.basis]
+    for (a, j), combo in algebra.mult.items():
+        entries[a].extend((i, j, x) for i, x in combo)
+    return entries
 
 
 def regular_representation_consistent(algebra: BasicAlgebra) -> bool:
     """Certify associativity independently: left multiplication must be an
     algebra homomorphism, mat(a) @ mat(b) == mat(a * b) for all pairs.
 
-    The matrices come from `regular_representation` and are read once into
-    their nonzero entries (i, j, x), and once more into those entries grouped
-    by column.  For each pair, mat(a) @ mat(b) joins the entries of mat(b)
-    with the columns of mat(a), the sum of coeff * mat(idx) over a * b runs
-    over the entries of each mat(idx), and the two are compared as dicts of
-    their nonzero (i, j) entries; every term of every product counts."""
-    dim = algebra.dimension
-    entries = [
-        [(i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
-        for mat in regular_representation(algebra)
-    ]
+    The entries come from `regular_representation`, and mat(a)'s are grouped
+    once more by column.  For each of the dim^2 pairs, zero products
+    included, mat(a) @ mat(b) joins the entries of mat(b) with the columns of
+    mat(a), the sum of coeff * mat(idx) over a * b is taken away, and every
+    entry of the difference must be zero."""
+    entries = regular_representation(algebra)
     columns = []
     for nonzero in entries:
-        by_column = [[] for _ in range(dim)]
+        by_column: dict[int, list[tuple[int, int]]] = {}
         for i, k, x in nonzero:
-            by_column[k].append((i, x))
+            by_column.setdefault(k, []).append((i, x))
         columns.append(by_column)
-    for a in range(dim):
-        left = columns[a]
-        for b in range(dim):
-            product: dict[tuple[int, int], int] = {}
-            for k, j, x in entries[b]:
-                for i, y in left[k]:
-                    product[i, j] = product.get((i, j), 0) + y * x
-            expected: dict[tuple[int, int], int] = {}
-            for idx, coeff in algebra.mult[(a, b)]:
+    for a, left in enumerate(columns):
+        for b, right in enumerate(entries):
+            difference: dict[tuple[int, int], int] = {}
+            for k, j, x in right:
+                for i, y in left.get(k, ()):
+                    difference[i, j] = difference.get((i, j), 0) + y * x
+            for idx, coeff in algebra.product(a, b):
                 for i, j, x in entries[idx]:
-                    expected[i, j] = expected.get((i, j), 0) + coeff * x
-            if {key: x for key, x in product.items() if x} != {
-                key: x for key, x in expected.items() if x
-            }:
+                    difference[i, j] = difference.get((i, j), 0) - coeff * x
+            if any(difference.values()):
                 return False
     return True
-

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from akregime.bn import (
     regular_representation,
     regular_representation_consistent,
 )
+from akregime.cli import run
 
 
 def label_index(algebra):
@@ -88,7 +90,8 @@ def test_regular_representation_is_homomorphism(n):
 
 def change_basis(algebra, p, q, c):
     """The same algebra on the basis with b_p replaced by b_p + c * b_q:
-    an associative table with multi-term, non-unit products."""
+    an associative table with multi-term, non-unit products.  Every one of
+    the dim^2 pairs is recomputed, since a zero product can become nonzero."""
 
     def lift(i):
         return ((i, 1),) if i != p else ((p, 1), (q, c))
@@ -99,13 +102,17 @@ def change_basis(algebra, p, q, c):
             coeffs[q] = coeffs.get(q, 0) - c * coeffs[p]
         return tuple(sorted((i, x) for i, x in coeffs.items() if x))
 
-    mult = {key: lower(multiply(algebra, lift(key[0]), lift(key[1]))) for key in algebra.mult}
-    return dataclasses.replace(algebra, mult=mult)
+    dim = algebra.dimension
+    products = {
+        (a, b): lower(multiply(algebra, lift(a), lift(b))) for a in range(dim) for b in range(dim)
+    }
+    return dataclasses.replace(algebra, mult={key: combo for key, combo in products.items() if combo})
 
 
 def seeded_tables(seed, count):
     """B(1)-B(4) after up to two changes of basis, half of them with one or
-    two products then overwritten by random combinations."""
+    two products then overwritten by random combinations.  Each table is
+    associative before it is overwritten."""
     rng = random.Random(seed)
     coefficients = (-2, -1, 1, 2, 3)
     for _ in range(count):
@@ -114,13 +121,17 @@ def seeded_tables(seed, count):
         for _ in range(rng.randint(0, 2)):
             p, q = rng.sample(range(dim), 2)
             algebra = change_basis(algebra, p, q, rng.choice(coefficients))
+        assert associativity_violations(algebra) == []
         if rng.random() < 0.5:
             mult = dict(algebra.mult)
             for _ in range(rng.randint(1, 2)):
-                mult[rng.randrange(dim), rng.randrange(dim)] = tuple(
+                key = rng.randrange(dim), rng.randrange(dim)
+                mult[key] = tuple(
                     (rng.randrange(dim), rng.choice(coefficients))
                     for _ in range(rng.randint(0, 3))
                 )
+                if not mult[key]:
+                    del mult[key]  # a zero product is a missing pair
             algebra = dataclasses.replace(algebra, mult=mult)
         yield algebra
 
@@ -130,7 +141,7 @@ def test_regular_representation_agrees_with_associativity():
     dual = build_bn(1)
     mult = dict(dual.mult)
     mult[0, 0] = ((0, 1), (1, 2))
-    mult[1, 0] = ()
+    del mult[1, 0]
     broken = dataclasses.replace(dual, mult=mult)
     assert associativity_violations(broken) == [(0, 0, 0)]
     assert not regular_representation_consistent(broken)
@@ -147,8 +158,13 @@ def test_regular_representation_agrees_with_associativity():
 def test_regular_representation_matrices():
     algebra = build_bn(2)
     idx = label_index(algebra)
-    mats = regular_representation(algebra)
     dim = algebra.dimension
+    mats = []
+    for entries in regular_representation(algebra):
+        mat = [[0] * dim for _ in range(dim)]
+        for i, j, x in entries:
+            mat[i][j] += x
+        mats.append(mat)
     for i in (1, 2):
         mat = mats[idx[f"e_{i}"]]
         assert all(mat[r][c] in (0, 1) for r in range(dim) for c in range(dim))
@@ -202,18 +218,33 @@ def test_hom_space_dimensions_match_cartan():
 
 def test_structure_constants_zero_or_one():
     # One table per n, normalized: every product of basis elements is zero
-    # or a single basis element with coefficient 1.
+    # or a single basis element with coefficient 1.  The table keeps the
+    # nonzero products only, so every stored combination is one term.
     for n in range(1, 11):
         algebra = build_bn(n)
         for combo in algebra.mult.values():
-            assert len(combo) <= 1
-            for _, coeff in combo:
-                assert coeff == 1
+            assert len(combo) == 1
+            assert combo[0][1] == 1
 
 
 def test_table_text_deterministic():
-    assert build_bn(3).table_text() == build_bn(3).table_text()
-    lines = build_bn(2).table_text().splitlines()
-    assert lines[0] == "basis=e_1,e_2,xi_1,xi_2,f_1_2,f_2_1"
-    assert "f_2_1,f_1_2,xi_1" in lines
-    assert "f_1_2,f_2_1,xi_2" in lines
+    # The whole export, pinned: the nonzero products in (a, b) order,
+    # whatever order the table was filled in.
+    out = io.StringIO()
+    assert run(["bn-algebra", "--n", "2", "--format", "machine"], out) == 0
+    assert out.getvalue().splitlines() == [
+        "n=2\tdim=6\tassociativity=pass",
+        "basis=e_1,e_2,xi_1,xi_2,f_1_2,f_2_1",
+        "e_1,e_1,e_1",
+        "e_1,xi_1,xi_1",
+        "e_1,f_2_1,f_2_1",
+        "e_2,e_2,e_2",
+        "e_2,xi_2,xi_2",
+        "e_2,f_1_2,f_1_2",
+        "xi_1,e_1,xi_1",
+        "xi_2,e_2,xi_2",
+        "f_1_2,e_1,f_1_2",
+        "f_1_2,f_2_1,xi_2",
+        "f_2_1,e_2,f_2_1",
+        "f_2_1,f_1_2,xi_1",
+    ]

@@ -273,7 +273,7 @@ def test_label_limit_admits_m3_n20():
 
 
 def test_bn_algebra_over_limit_exits_1_before_building(capsys, monkeypatch):
-    # n = 100 took 4 s and 526 MB; the limit n = 50 took 0.73 s and 82 MB.
+    # The limit is n = 50; n = 51 must be refused without building B(51).
     built = []
     small = akregime.bn.build_bn(2)
 
