@@ -103,10 +103,13 @@ def change_basis(algebra, p, q, c):
         return tuple(sorted((i, x) for i, x in coeffs.items() if x))
 
     dim = algebra.dimension
-    products = {
-        (a, b): lower(multiply(algebra, lift(a), lift(b))) for a in range(dim) for b in range(dim)
-    }
-    return dataclasses.replace(algebra, mult={key: combo for key, combo in products.items() if combo})
+    mult = {}
+    for a in range(dim):
+        for b in range(dim):
+            combo = lower(multiply(algebra, lift(a), lift(b)))
+            if combo:
+                mult[a, b] = combo
+    return dataclasses.replace(algebra, mult=mult)
 
 
 def seeded_tables(seed, count):
