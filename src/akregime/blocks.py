@@ -40,6 +40,11 @@ def block_partition(scheme: ParamScheme, n: int) -> BlockPartition:
 
     Blocks are ordered by first appearance in the canonical enumeration;
     exceptional_index points at the first block of size n + 1 >= 2, if any.
+    That is the exceptional block at m >= 2 regime points.  At m = 1 regime
+    points the exceptional block has n labels at e = n (the hooks) and
+    n - 1 at e = n - 1 ((4), (2,2) and (1,1,1,1) at n = 4, e = 3), so
+    exceptional_index is None there.  Finding the m = 1 block is open
+    (ROADMAP.md, item 2).
     """
     if scheme.e == 1:
         raise QOneBlocksError("q=1 blocks unsupported")

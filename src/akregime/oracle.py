@@ -30,10 +30,14 @@ prediction mismatch.
 Beyond m and whether e = 1, the oracle reads the parameters only through
 residues, which it compares for equality (to group nodes, or at e = 1 to
 compare class labels).  The kernel route depends only on the same residue
-pattern (see `_residue_pattern`), and so does `structure.classify_regime`:
+pattern (`_residue_pattern`: m, n, whether e = 1 and the residues of
+contents -n..n in each component, numbered in the order first met), and so
+does `structure.classify_regime`:
 
-- the kernel reads only the residues of nodes of labels of size <= n, and
-  their contents lie in -n..n;
+- node (k, r, c) has the residue of content c - r in component k, and
+  every removable or addable node of a label of size <= n has its content
+  in -n..n, so two schemes with equal patterns group every node the kernel
+  or the oracle visits alike;
 - the formula's count equals the kernel's (tier-1 compares the two at every
   default grid point and on seeded schemes, and the sweep compares the
   kinds they give at every pattern it visits), so it is a function of the
@@ -61,7 +65,7 @@ under descriptive names:
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, combinations, product
 
 from . import simples, structure
 from .combinatorics import Multipartition, enumerate_multipartitions
@@ -221,8 +225,11 @@ def oracle_kind(scheme: ParamScheme, n: int) -> str:
 @dataclass(frozen=True)
 class LemmaReport:
     name: str
-    passed: bool
     counterexample: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 def _part_content(scheme, k, part):
@@ -233,13 +240,6 @@ def _part_content(scheme, k, part):
             for c in range(1, part[r - 1] + 1)
         )
     )
-
-
-def _full_content(scheme, mp):
-    entries = []
-    for k, part in enumerate(mp, start=1):
-        entries.extend(_part_content(scheme, k, part))
-    return tuple(sorted(entries))
 
 
 def _witness_pair(scheme: ParamScheme, n: int) -> tuple[int, int]:
@@ -253,115 +253,90 @@ def _witness_pair(scheme: ParamScheme, n: int) -> tuple[int, int]:
 
 def verify_lemmas(scheme: ParamScheme, n: int) -> dict[str, LemmaReport]:
     """Exhaustively instantiate the six content lemmas over all
-    multipartitions (and pairs) of n.  Reports carry a counterexample on
-    failure; hypotheses assume the almost-semisimple standing assumption."""
+    multipartitions (and pairs) of n.  Each lemma is a search for
+    counterexamples, and its report carries the first one found, or none
+    when the lemma holds.  Hypotheses assume the almost-semisimple standing
+    assumption."""
     i, j = _witness_pair(scheme, n)
     mps = enumerate_multipartitions(scheme.m, n)
-    reports: dict[str, LemmaReport] = {}
-
-    def record(name, counterexample=None):
-        reports[name] = LemmaReport(name, counterexample is None, counterexample)
-
-    # no-extra-relations: k outside the witness pair is never q-power related.
-    found = relations(scheme, n)
-    oriented = found + [(b, a, -c) for a, b, c in found]
-    bad = next(((k, ell, c) for k, ell, c in oriented if k not in (i, j)), None)
-    record("no-extra-relations", None if bad is None else f"u_{bad[0]} = q^{bad[2]} u_{bad[1]}")
-
-    # contents-disjoint: component contents of one multipartition never meet.
-    bad = None
-    for alpha in mps:
-        contents = [set(_part_content(scheme, k, part)) for k, part in enumerate(alpha, 1)]
-        for r in range(scheme.m):
-            for s in range(r + 1, scheme.m):
-                common = contents[r] & contents[s]
-                if common:
-                    bad = f"alpha={alpha} components {r + 1},{s + 1} share {sorted(common)[0]}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    record("contents-disjoint", bad)
-
-    # content-determines-part: within one component slot, content is injective.
-    parts_seen = sorted({part for mp in mps for part in mp})
-    bad = None
-    for k in range(1, scheme.m + 1):
-        for a in range(len(parts_seen)):
-            for b in range(a + 1, len(parts_seen)):
-                if _part_content(scheme, k, parts_seen[a]) == _part_content(
-                    scheme, k, parts_seen[b]
-                ):
-                    bad = f"component {k}: {parts_seen[a]} vs {parts_seen[b]}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    record("content-determines-part", bad)
-
-    # Group by full content once, for the two transfer lemmas.
+    components = range(1, scheme.m + 1)
+    # The content table: each part's content in each component, and each
+    # label's row of component contents.
+    parts = sorted({part for mp in mps for part in mp})
+    content = {(k, part): _part_content(scheme, k, part) for k in components for part in parts}
+    rows = {alpha: [content[k, part] for k, part in enumerate(alpha, 1)] for alpha in mps}
+    # Ordered pairs of distinct labels with equal full content.
     groups: dict[tuple, list[Multipartition]] = {}
-    for mp in mps:
-        groups.setdefault(_full_content(scheme, mp), []).append(mp)
-    pairs = [
-        (alpha, beta)
-        for group in groups.values()
-        for alpha in group
-        for beta in group
-        if alpha != beta
-    ]
+    for alpha, row in rows.items():
+        groups.setdefault(tuple(sorted(chain.from_iterable(row))), []).append(alpha)
+    pairs = [(a, b) for group in groups.values() for a in group for b in group if a != b]
 
-    # outside-content-transfers (components k outside the witness pair).
-    bad = None
-    for alpha, beta in pairs:
-        for k in range(1, scheme.m + 1):
-            if k in (i, j):
-                continue
-            beta_content = set(_part_content(scheme, k, beta[k - 1]))
-            for x in _part_content(scheme, k, alpha[k - 1]):
-                if x not in beta_content:
-                    bad = f"alpha={alpha} beta={beta} k={k} x={x}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    record("outside-content-transfers", bad)
+    def missing(alpha, beta, k):
+        # Residues of alpha's component k that beta's component k lacks.
+        present = set(content[k, beta[k - 1]])
+        return (x for x in content[k, alpha[k - 1]] if x not in present)
 
-    # row-column-gap: if a1 + a2 < n then u_i q^(a1) misses cont(alpha).
-    bad = None
-    for alpha in mps:
-        a1 = alpha[i - 1][0] if alpha[i - 1] else 0
-        a2 = len(alpha[j - 1])
-        if a1 + a2 >= n:
-            continue
-        exp = scheme.shifts[i - 1] + a1
-        if scheme.e > 0:
-            exp %= scheme.e
-        if (scheme.classes[i - 1], exp) in set(_full_content(scheme, alpha)):
-            bad = f"alpha={alpha} a1={a1} a2={a2}"
-            break
-    record("row-column-gap", bad)
+    def row_and_column(alpha):
+        # a1, the first row of component i, and a2, the rows of component j.
+        return (alpha[i - 1][0] if alpha[i - 1] else 0), len(alpha[j - 1])
 
-    # witness-content-transfers: contents at component i match across a block.
-    bad = None
-    for alpha, beta in pairs:
-        a1 = alpha[i - 1][0] if alpha[i - 1] else 0
-        a2 = len(alpha[j - 1])
-        if a1 + a2 >= n:
-            continue
-        beta_content = set(_part_content(scheme, i, beta[i - 1]))
-        for x in _part_content(scheme, i, alpha[i - 1]):
-            if x not in beta_content:
-                bad = f"alpha={alpha} beta={beta} x={x}"
-                break
-        if bad:
-            break
-    record("witness-content-transfers", bad)
+    def no_extra_relations():
+        # k outside the witness pair is never q-power related.
+        found = relations(scheme, n)
+        for k, ell, c in found + [(b, a, -c) for a, b, c in found]:
+            if k not in (i, j):
+                yield f"u_{k} = q^{c} u_{ell}"
 
-    return reports
+    def contents_disjoint():
+        # The component contents of one multipartition never meet.
+        for alpha, row in rows.items():
+            for r, s in combinations(range(scheme.m), 2):
+                common = set(row[r]) & set(row[s])
+                if common:
+                    yield f"alpha={alpha} components {r + 1},{s + 1} share {min(common)}"
+
+    def content_determines_part():
+        # Within one component slot, content is injective.
+        for k in components:
+            by_content: dict[tuple, list[tuple[int, ...]]] = {}
+            for part in parts:
+                by_content.setdefault(content[k, part], []).append(part)
+            for same in by_content.values():
+                if len(same) > 1:
+                    yield f"component {k}: {same[0]} vs {same[1]}"
+
+    def outside_content_transfers():
+        # Contents of components outside the witness pair match across a block.
+        for alpha, beta in pairs:
+            for k in components:
+                if k not in (i, j):
+                    for x in missing(alpha, beta, k):
+                        yield f"alpha={alpha} beta={beta} k={k} x={x}"
+
+    def row_column_gap():
+        # If a1 + a2 < n then u_i q^(a1) misses cont(alpha).
+        for alpha, row in rows.items():
+            a1, a2 = row_and_column(alpha)
+            target = _residue(scheme, i, 1, a1 + 1)  # u_i q^(a1)
+            if a1 + a2 < n and any(target in part_content for part_content in row):
+                yield f"alpha={alpha} a1={a1} a2={a2}"
+
+    def witness_content_transfers():
+        # Contents at component i match across a block when a1 + a2 < n.
+        for alpha, beta in pairs:
+            if sum(row_and_column(alpha)) < n:
+                for x in missing(alpha, beta, i):
+                    yield f"alpha={alpha} beta={beta} x={x}"
+
+    searches = {
+        "no-extra-relations": no_extra_relations(),
+        "contents-disjoint": contents_disjoint(),
+        "content-determines-part": content_determines_part(),
+        "outside-content-transfers": outside_content_transfers(),
+        "row-column-gap": row_column_gap(),
+        "witness-content-transfers": witness_content_transfers(),
+    }
+    return {name: LemmaReport(name, next(search, None)) for name, search in searches.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +466,10 @@ def _predicted_regime(scheme: ParamScheme, n: int) -> bool:
 
 
 def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:
-    """What the three routes of `regime_locus` read of the parameters: m, n,
-    whether e = 1, and the residues of contents -n..n in each component,
-    numbered in the order first met.  Node (k, r, c) has the residue of
-    content c - r in component k, and every removable or addable node of a
-    label of size <= n has its content in that window, so two schemes with
-    equal patterns group every node the kernel or the oracle visits alike.
-    The formula's count is a function of the pattern because it equals the
-    kernel's count, which tier-1 checks; see the module docstring for the
-    relation scan and the m = 1 branch."""
+    """The key under which `regime_locus` shares one run of its three
+    routes: m, n, whether e = 1, and the residues of contents -n..n in each
+    component, numbered in the order first met.  The module docstring says
+    why schemes with equal keys get equal kinds."""
     numbers: dict = {}
     pattern = tuple(
         numbers.setdefault(_residue(scheme, k, 1, 1 + d), len(numbers))
@@ -510,20 +480,16 @@ def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:
 
 
 def regime_locus(grid: SweepGrid) -> list[GridPointResult]:
-    """Evaluate every grid point along three routes.
+    """One GridPointResult per point of `grid_points(grid)`, in that order.
 
     fast_kind comes from structure.classify_regime (the formula's count),
     kernel_kind from the kernel's verdict on every label
     (simples.simple_count) and oracle_kind from the naive recursion.  Each
     runs once per `_residue_pattern` and is reused at the pattern's later
-    points: the kernel and the oracle see only residues of contents -n..n,
-    the formula's count equals the kernel's, the windows show every
-    relation u_j = q^c u_i with |c| <= 2n (the fast path scans |c| < n),
-    and the m = 1 branch reads e only as e = n or e = n - 1, which the
-    pattern's period fixes.  A point agrees when all three kinds are equal.
-    predicted_regime, the parameter-side condition set, is evaluated at
-    every point.  The pattern-to-kinds dict lives for this call only.
-    Disagreements are recorded, never suppressed.
+    points (the module docstring says why that is exact).  A point agrees
+    when all three kinds are equal.  predicted_regime, the parameter-side
+    condition set, is evaluated at every point.  The pattern-to-kinds dict
+    lives for this call only.  Disagreements are recorded, never suppressed.
     """
     rows = []
     kinds: dict = {}

@@ -280,13 +280,66 @@ def test_lemma_suite_passes_on_regime_points(regime_instances):
             assert report.passed, report
 
 
-def test_lemma_negative_control():
-    # Two in-window relations: u_2 = q^2 u_1 and u_3 = q^2 u_2.
-    corrupted = ParamScheme(m=3, e=0, classes=(0, 0, 0), shifts=(0, 2, 4))
-    reports = verify_lemmas(corrupted, 3)
-    bad = reports["no-extra-relations"]
-    assert not bad.passed
-    assert bad.counterexample is not None
+# One scheme per lemma at which that lemma fails, with the first
+# counterexample it reports.  Each scheme has a witness relation with
+# |c| = n - 1 beside the fault.
+LEMMA_CONTROLS = {
+    # Two in-window relations: u_2 = q^2 u_1 and u_3 = q^2 u_2.  The
+    # report writes the second with its exponent negated.
+    "no-extra-relations-chain": (
+        "no-extra-relations",
+        ParamScheme(m=3, e=0, classes=(0, 0, 0), shifts=(0, 2, 4)),
+        3,
+        "u_3 = q^-2 u_2",
+    ),
+    # u_1 = u_2, and both are related to u_3.
+    "no-extra-relations": (
+        "no-extra-relations",
+        ParamScheme(m=3, e=0, classes=(0, 0, 0), shifts=(0, 0, 1)),
+        2,
+        "u_2 = q^1 u_3",
+    ),
+    # u_1 = u_2 at e = 2: both components start at the same residue.
+    "contents-disjoint": (
+        "contents-disjoint",
+        ParamScheme(m=2, e=2, classes=(0, 0), shifts=(0, 0)),
+        3,
+        "alpha=((2,), (1,)) components 1,2 share (0, 0)",
+    ),
+    # At e = 2 a row and a column of two boxes have the same residues.
+    "content-determines-part": (
+        "content-determines-part",
+        ParamScheme(m=2, e=2, classes=(0, 0), shifts=(0, 1)),
+        2,
+        "component 1: (1, 1) vs (2,)",
+    ),
+    "outside-content-transfers": (
+        "outside-content-transfers",
+        ParamScheme(m=3, e=0, classes=(0, 0, 0), shifts=(0, 0, 1)),
+        2,
+        "alpha=((), (2,), ()) beta=((2,), (), ()) k=2 x=(0, 0)",
+    ),
+    "row-column-gap": (
+        "row-column-gap",
+        ParamScheme(m=2, e=2, classes=(0, 0), shifts=(0, 1)),
+        2,
+        "alpha=((2,), ()) a1=0 a2=1",
+    ),
+    "witness-content-transfers": (
+        "witness-content-transfers",
+        ParamScheme(m=2, e=2, classes=(0, 0), shifts=(0, 1)),
+        2,
+        "alpha=((), (1, 1)) beta=((2,), ()) x=(0, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("control", LEMMA_CONTROLS)
+def test_lemma_negative_control(control):
+    lemma, scheme, n, counterexample = LEMMA_CONTROLS[control]
+    report = verify_lemmas(scheme, n)[lemma]
+    assert not report.passed
+    assert report.counterexample == counterexample
 
 
 def test_grid_contains_patterns_and_dedups_translation():
