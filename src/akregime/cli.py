@@ -53,8 +53,8 @@ from .structure import InconsistentRegimeError
 
 # The most labels one (m, n) may have: m = 3, n = 20 has 341,649, and its
 # count-simples, which lists them, took 2.5-7 s with the pure-Python kernel
-# on a 2-vCPU Xeon (classify lists none and took 0.3 s); m = 3, n = 21 has
-# 521,196.
+# on a 2-vCPU Xeon (classify, block-structure and audit list none and took
+# 0.2-0.3 s); m = 3, n = 21 has 521,196.
 LABEL_LIMIT = 350_000
 
 # The most label-points (each grid point's label count, summed over the

@@ -282,10 +282,9 @@ def verify_lemmas(scheme: ParamScheme, n: int) -> dict[str, LemmaReport]:
 
     def no_extra_relations():
         # k outside the witness pair is never q-power related.
-        found = relations(scheme, n)
-        for k, ell, c in found + [(b, a, -c) for a, b, c in found]:
-            if k not in (i, j):
-                yield f"u_{k} = q^{c} u_{ell}"
+        for a, b, c in relations(scheme, n):
+            if a not in (i, j) or b not in (i, j):
+                yield f"u_{b} = q^{c} u_{a}"
 
     def contents_disjoint():
         # The component contents of one multipartition never meet.

@@ -130,7 +130,7 @@ def _group_series(e: int, offsets: tuple[int, ...], n: int) -> tuple[int, ...]:
             if height + value <= n:
                 exponents[height + value] += mult
 
-    if e:
+    if 0 < e <= n:
         # k delta + alpha_I for every proper cyclic interval I of Z/e, and
         # k delta (k >= 1) with multiplicity e - 1.
         level = len(offsets)
@@ -143,11 +143,13 @@ def _group_series(e: int, offsets: tuple[int, ...], n: int) -> tuple[int, ...]:
             if k:
                 root(k * e, k * level, e - 1)
     else:
-        # The intervals [start, start + length) of Z that meet a shift.
-        for start in {s - d for s in offsets for d in range(n)}:
+        # e = 0 or e > n: the roots of height <= n are the alpha_I, I an
+        # interval of Z (of Z/e) of length <= n; c > 0 when I meets a shift.
+        wrap = (lambda x: x % e) if e else (lambda x: x)
+        for start in {wrap(s - d) for s in offsets for d in range(n)}:
             value = 0
             for length in range(1, n + 1):
-                value += weight[start + length - 1]
+                value += weight[wrap(start + length - 1)]
                 root(length, value)
     return tuple(euler_product(exponents.__getitem__, n))
 

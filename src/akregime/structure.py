@@ -27,6 +27,10 @@ The parameter-side tests are `params.regime_relation` (m >= 2) and
 checked apart.  Any failure raises InconsistentRegimeError: an internal
 inconsistency, never data.
 
+hecke_dimension_audit lists no label outside the exceptional block (the
+singletons give |W| less its squared dimensions), so what can fail is the
+block's identity sum_(lambda in block) (dim lambda)^2 = w^T C w.
+
 The matrices are block-level data under the declared a-ordering of the
 lambda family; no claim is made about which individual Specht module maps
 to which standard module.
@@ -36,13 +40,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .blocks import lambda_family
-from .combinatorics import (
-    Multipartition,
-    dim_irrep,
-    enumerate_multipartitions,
-    multipartition_count,
-    partitions,
-)
+from .combinatorics import Multipartition, dim_irrep, multipartition_count
 from .params import KappaInput, ParamScheme, derive_r, m1_regime_order, regime_relation, relations
 from .simples import kleshchev_count, simple_verdicts
 
@@ -78,10 +76,18 @@ class BlockStructure:
     simple_order: tuple[Multipartition, ...] | None
     decomposition: Matrix
     cartan: Matrix
-    hom_dims: Matrix
     kz_dims: tuple[int, ...]
-    pkz_multiplicities: tuple[int, ...]
     exterior_dims: tuple[int, ...]
+
+    @property
+    def hom_dims(self) -> Matrix:
+        """Restated from the paper: dim Hom(P_a, P_b) is the Cartan matrix."""
+        return self.cartan
+
+    @property
+    def pkz_multiplicities(self) -> tuple[int, ...]:
+        """Restated from the paper: the P_KZ multiplicities are the KZ dims."""
+        return self.kz_dims
 
 
 def non_kleshchev_label(m: int, n: int, witness: tuple[int, int, int]) -> Multipartition:
@@ -210,15 +216,9 @@ def block_structure(report: RegimeReport, scheme: ParamScheme, n: int) -> BlockS
         simple_order=simple_order,
         decomposition=decomposition,
         cartan=cartan,
-        hom_dims=cartan,
         kz_dims=kz,
-        pkz_multiplicities=kz,
         exterior_dims=tuple(comb(n, i) for i in range(n + 1)),
     )
-
-
-def _is_hook(p: tuple[int, ...]) -> bool:
-    return bool(p) and all(part == 1 for part in p[1:])
 
 
 def hecke_dimension_audit(
@@ -228,11 +228,13 @@ def hecke_dimension_audit(
 
     Singleton blocks contribute (dim tau)^2; the exceptional block
     contributes sum_ab w_a w_b C_ab, its projective Hom table C weighted by
-    the P_KZ multiplicities w.  For m >= 2 the block's labels, C and w are
-    read from what block_structure emits (specht_order, cartan, kz_dims),
-    so a wrong emitted matrix makes the total miss m^n * n!.
+    the P_KZ multiplicities w.  All squares sum to |W| = m^n * n!, so the
+    singletons give m^n * n! less the block's squares, and the total misses
+    exactly when those do not sum to w^T C w.  For m >= 2 the block's
+    labels, C and w are read from what block_structure emits (specht_order,
+    cartan, kz_dims), so a wrong emitted matrix or family makes it miss.
 
-    The m = 1 branch reads only n: it takes the hooks as the exceptional
+    The m = 1 branch reads only n: it takes the n hooks as the exceptional
     block and the rigid block's Hom table with n - 1 simple modules, which
     reassemble n! for every n, so it cannot fail.  The hooks are not always
     the block: at n = 4, e = 3 `blocks` gives {(4), (2,2), (1^4)}, and the
@@ -244,17 +246,12 @@ def hecke_dimension_audit(
     expected = scheme.m**n * factorial(n)
     if scheme.m >= 2:
         bs = block_structure(report, scheme, n)
-        family = set(bs.specht_order)
-        outside = (
-            mp for mp in enumerate_multipartitions(scheme.m, n) if mp not in family
-        )
-        hom, weights = bs.cartan, bs.kz_dims
+        block, hom, weights = bs.specht_order, bs.cartan, bs.kz_dims
     else:
-        outside = ((p,) for p in partitions(n) if not _is_hook(p))
+        block = [((n - k,) + (1,) * k,) for k in range(n)]
         _, hom, weights = _block_matrices(n - 1)
-    total = sum(dim_irrep(mp) ** 2 for mp in outside)
     size = len(weights)
-    total += sum(
+    total = expected - sum(dim_irrep(mp) ** 2 for mp in block) + sum(
         weights[a] * weights[b] * hom[a][b] for a in range(size) for b in range(size)
     )
     return total, expected

@@ -190,6 +190,23 @@ def test_bad_grid_exit_code(grid, key, capsys):
     assert f"{key!r}" in capsys.readouterr().err
 
 
+def _refuse_enumeration(monkeypatch):
+    """Make enumerate_multipartitions raise in every loaded akregime module
+    that binds it, so a module that imports it again is covered too."""
+
+    def refuse(m, n):
+        raise AssertionError(f"enumerated m={m}, n={n}")
+
+    modules = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "akregime" and hasattr(module, "enumerate_multipartitions")
+    ]
+    assert akregime.combinatorics in modules
+    for module in modules:
+        monkeypatch.setattr(module, "enumerate_multipartitions", refuse)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -205,14 +222,7 @@ def test_bad_grid_exit_code(grid, key, capsys):
 def test_oversized_input_exits_1_before_enumerating(argv, capsys, monkeypatch):
     # m = 3, n = 30 has 16,790,136 labels; the count comes from the
     # generating function, so the refusal costs no enumeration.
-    def refuse(m, n):
-        raise AssertionError(f"enumerated m={m}, n={n}")
-
-    for module in (
-        akregime.combinatorics, akregime.blocks, akregime.oracle,
-        akregime.simples, akregime.structure,
-    ):
-        monkeypatch.setattr(module, "enumerate_multipartitions", refuse)
+    _refuse_enumeration(monkeypatch)
     started = time.perf_counter()
     status, out = invoke(*argv, "--format", "machine")
     assert time.perf_counter() - started < 0.5
@@ -241,14 +251,7 @@ def test_oversized_input_exits_1_before_enumerating(argv, capsys, monkeypatch):
 def test_classify_m3_n20_lists_no_label(scheme, line, kernel_calls, monkeypatch):
     # 341,649 labels.  classify counts them and the simple modules by
     # generating functions; the kernel sees at most the one forced label.
-    def refuse(m, n):
-        raise AssertionError(f"enumerated m={m}, n={n}")
-
-    for module in (
-        akregime.combinatorics, akregime.blocks, akregime.oracle,
-        akregime.simples, akregime.structure,
-    ):
-        monkeypatch.setattr(module, "enumerate_multipartitions", refuse)
+    _refuse_enumeration(monkeypatch)
     sizes = []
     verdicts = akregime._kernel.kleshchev_verdicts
 
@@ -262,6 +265,63 @@ def test_classify_m3_n20_lists_no_label(scheme, line, kernel_calls, monkeypatch)
     status, out = invoke(*argv)
     assert time.perf_counter() - started < 0.5
     assert (status, out, sizes) == (0, line + "\n", kernel_calls)
+
+
+@pytest.mark.parametrize(
+    "verb, lines",
+    [
+        (
+            "audit",
+            ["total=8483004771271882804592640000\texpected=8483004771271882804592640000\tmatch=true"],
+        ),
+        (
+            "block-structure",
+            [
+                "n=20",
+                "kz_dims=1,19,171,969,3876,11628,27132,50388,75582,92378,"
+                "92378,75582,50388,27132,11628,3876,969,171,19,1",
+            ],
+        ),
+    ],
+    ids=["audit", "block-structure"],
+)
+def test_regime_verbs_m3_n20_list_no_label(verb, lines, monkeypatch):
+    # The audit reads the 21 labels of the block; the other 341,628 labels
+    # are |W| less the block's squared dimensions.
+    _refuse_enumeration(monkeypatch)
+    started = time.perf_counter()
+    argv = ["--m", "3", "--n", "20", "--scheme", "e=0;class=0,0,1;shift=0,19,0"]
+    status, out = invoke(verb, *argv, "--format", "machine")
+    assert time.perf_counter() - started < 0.5
+    assert status == 0
+    assert set(lines) <= set(out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "point, line",
+    [
+        (
+            ["--m", "2", "--n", "4", "--scheme", "e=100000000000000000000;class=0,0;shift=0,3"],
+            "kind=almost_semisimple\tsimple_count=19\tirrep_count=20"
+            "\twitness=(1,2,+3)\tnon_kleshchev=[(4),()]",
+        ),
+        (
+            ["--kappa", "m=2;n=4;kappa00=1/100000000000000000000;kappa=1/3"],
+            "kind=semisimple\tsimple_count=20\tirrep_count=20\twitness=none\tnon_kleshchev=none",
+        ),
+    ],
+    ids=["scheme", "kappa"],
+)
+def test_classify_answers_at_order_1e20(point, line):
+    # Above e = n only the intervals within n - 1 below a shift count, so
+    # the cost does not grow with e.  count-simples decides all 20 labels.
+    started = time.perf_counter()
+    status, out = invoke("classify", *point, "--format", "machine")
+    assert time.perf_counter() - started < 1.0
+    assert (status, out) == (0, line + "\n")
+    simple_count = line.split("\t")[1]
+    status, out = invoke("count-simples", *point, "--format", "machine")
+    assert status == 0 and f"\t{simple_count}\t" in out
 
 
 def test_label_limit_admits_m3_n20():

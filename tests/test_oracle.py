@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import random
+import re
 from collections import Counter
 from itertools import combinations, product
 
@@ -284,20 +285,19 @@ def test_lemma_suite_passes_on_regime_points(regime_instances):
 # counterexample it reports.  Each scheme has a witness relation with
 # |c| = n - 1 beside the fault.
 LEMMA_CONTROLS = {
-    # Two in-window relations: u_2 = q^2 u_1 and u_3 = q^2 u_2.  The
-    # report writes the second with its exponent negated.
+    # Two in-window relations: u_2 = q^2 u_1 and u_3 = q^2 u_2.
     "no-extra-relations-chain": (
         "no-extra-relations",
         ParamScheme(m=3, e=0, classes=(0, 0, 0), shifts=(0, 2, 4)),
         3,
-        "u_3 = q^-2 u_2",
+        "u_3 = q^2 u_2",
     ),
     # u_1 = u_2, and both are related to u_3.
     "no-extra-relations": (
         "no-extra-relations",
         ParamScheme(m=3, e=0, classes=(0, 0, 0), shifts=(0, 0, 1)),
         2,
-        "u_2 = q^1 u_3",
+        "u_2 = q^0 u_1",
     ),
     # u_1 = u_2 at e = 2: both components start at the same residue.
     "contents-disjoint": (
@@ -340,6 +340,16 @@ def test_lemma_negative_control(control):
     report = verify_lemmas(scheme, n)[lemma]
     assert not report.passed
     assert report.counterexample == counterexample
+
+
+@pytest.mark.parametrize("control", ["no-extra-relations", "no-extra-relations-chain"])
+def test_extra_relation_holds_as_printed(control):
+    # "u_b = q^c u_a" must be a relation of the scheme, read by
+    # relation_exponents(scheme, b, a, n): all c with u_b = q^c u_a.
+    _, scheme, n, _ = LEMMA_CONTROLS[control]
+    text = verify_lemmas(scheme, n)["no-extra-relations"].counterexample
+    b, c, a = map(int, re.fullmatch(r"u_(\d+) = q\^(-?\d+) u_(\d+)", text).groups())
+    assert c in relation_exponents(scheme, b, a, n)
 
 
 def test_grid_contains_patterns_and_dedups_translation():

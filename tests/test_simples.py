@@ -201,13 +201,15 @@ def test_kleshchev_count_matches_the_kernel_on_seeded_schemes():
     # group's offsets must be reduced mod e.  Dropping the e - 1
     # multiplicity of k delta, the roots -alpha + k delta at
     # k = floor(n/e) + 1 (the intervals through residue 0 at the top k), or
-    # the reduction mod e each fails here.
+    # the reduction mod e each fails here.  Orders e > n take the
+    # interval-start shortcut of e = 0, read mod e.
     rng = random.Random(16)
     kinds = set()
     for _ in range(600):
         m = rng.randint(1, 4)
         n = rng.randint(1, SEEDED_N[m])
-        e = rng.choice((0, 0, 1, rng.randint(2, n + 1), rng.randint(2, 2 * n + 2)))
+        above_n = rng.randint(n + 1, 3 * n + 3)
+        e = rng.choice((0, 0, 1, rng.randint(2, n + 1), rng.randint(2, 2 * n + 2), above_n))
         labels = rng.randint(1, 3)
         scheme = ParamScheme(
             m=m,

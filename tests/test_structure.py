@@ -8,7 +8,12 @@ import pytest
 
 from akregime import _kernel, simples, structure
 from akregime.cli import run
-from akregime.combinatorics import multipartition_count, partitions
+from akregime.combinatorics import (
+    dim_irrep,
+    enumerate_multipartitions,
+    multipartition_count,
+    partitions,
+)
 from akregime.params import KappaInput, ParamScheme, scheme_from_kappa
 from akregime.structure import (
     ALMOST_SEMISIMPLE,
@@ -213,9 +218,7 @@ def _with_flipped_decomposition(real):
         cartan = tuple(
             tuple(sum(row[a] * row[b] for row in rows) for b in range(n)) for a in range(n)
         )
-        return dataclasses.replace(
-            bs, decomposition=tuple(map(tuple, rows)), cartan=cartan, hom_dims=cartan
-        )
+        return dataclasses.replace(bs, decomposition=tuple(map(tuple, rows)), cartan=cartan)
 
     return block_structure
 
@@ -225,6 +228,43 @@ def test_audit_fails_on_a_wrong_emitted_matrix(scheme, n, monkeypatch):
     report = classify_regime(scheme, n)
     monkeypatch.setattr(
         structure, "block_structure", _with_flipped_decomposition(structure.block_structure)
+    )
+    total, expected = hecke_dimension_audit(report, scheme, n)
+    assert total != expected
+    argv = ["audit", "--m", str(scheme.m), "--n", str(n), "--scheme", scheme.describe()]
+    assert run(argv + ["--format", "machine"], io.StringIO()) == 2
+
+
+def _with_one_member_replaced(real):
+    """block_structure whose specht_order has one member replaced by a
+    label outside the family of another dimension: the right matrices over
+    a wrong family."""
+
+    def block_structure(report, scheme, n):
+        bs = real(report, scheme, n)
+        family = list(bs.specht_order)
+        for k, member in enumerate(family):
+            other = next(
+                (
+                    mp
+                    for mp in enumerate_multipartitions(scheme.m, n)
+                    if mp not in family and dim_irrep(mp) != dim_irrep(member)
+                ),
+                None,
+            )
+            if other is not None:
+                family[k] = other
+                return dataclasses.replace(bs, specht_order=tuple(family))
+        raise AssertionError("no label outside the family differs in dimension")
+
+    return block_structure
+
+
+@pytest.mark.parametrize("scheme, n", [(REGIME_M2, 2), (REGIME_M3, 3)], ids=["m2", "m3"])
+def test_audit_fails_on_a_wrong_family(scheme, n, monkeypatch):
+    report = classify_regime(scheme, n)
+    monkeypatch.setattr(
+        structure, "block_structure", _with_one_member_replaced(structure.block_structure)
     )
     total, expected = hecke_dimension_audit(report, scheme, n)
     assert total != expected
