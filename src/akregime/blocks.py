@@ -3,13 +3,16 @@
 Two Specht modules lie in the same block iff their multipartitions have
 equal content (the multiset of residues of all nodes).  Content is stored as
 a sorted residue tuple so multiset equality is plain equality and blocks can
-be grouped deterministically.
+be grouped deterministically.  It is the sorted concatenation of the
+label's parts' contents, each read from `params.part_content`.
 """
 
 from dataclasses import dataclass
+from functools import cache, partial
+from itertools import chain
 
-from .combinatorics import Multipartition, enumerate_multipartitions, nodes_of
-from .params import ParamScheme, Residue, relation_exponents, residue_of
+from .combinatorics import Multipartition, enumerate_multipartitions
+from .params import ParamScheme, Residue, part_content, relation_exponents
 
 ContentMultiset = tuple[Residue, ...]
 
@@ -32,7 +35,8 @@ def content(scheme: ParamScheme, mp: Multipartition) -> ContentMultiset:
     """Multiset of residues of all nodes of mp, as a sorted tuple."""
     if scheme.e == 1:
         raise QOneBlocksError("q=1 blocks unsupported")
-    return tuple(sorted(residue_of(scheme, node) for node in nodes_of(mp)))
+    parts = (part_content(scheme, k, part) for k, part in enumerate(mp, start=1))
+    return tuple(sorted(chain.from_iterable(parts)))
 
 
 def block_partition(scheme: ParamScheme, n: int) -> BlockPartition:
@@ -48,9 +52,11 @@ def block_partition(scheme: ParamScheme, n: int) -> BlockPartition:
     """
     if scheme.e == 1:
         raise QOneBlocksError("q=1 blocks unsupported")
+    table = cache(partial(part_content, scheme))  # each (component, part) once per call
     by_content: dict[ContentMultiset, list[Multipartition]] = {}
     for mp in enumerate_multipartitions(scheme.m, n):
-        by_content.setdefault(content(scheme, mp), []).append(mp)
+        parts = (table(k, part) for k, part in enumerate(mp, start=1))
+        by_content.setdefault(tuple(sorted(chain.from_iterable(parts))), []).append(mp)
     blocks = tuple(tuple(group) for group in by_content.values())
     exceptional = None
     if n >= 1:

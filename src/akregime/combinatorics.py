@@ -26,14 +26,6 @@ def mp_size(mp: Multipartition) -> int:
     return sum(sum(c) for c in mp)
 
 
-def nodes_of(mp: Multipartition) -> Iterator[Node]:
-    """All nodes of the diagram, in (component, row, column) order."""
-    for k, component in enumerate(mp, start=1):
-        for r, row_len in enumerate(component, start=1):
-            for c in range(1, row_len + 1):
-                yield Node(k, r, c)
-
-
 @cache
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in descending lexicographic order.

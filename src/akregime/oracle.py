@@ -1,10 +1,10 @@
 """Naive brute-force verifiers, independent of the fast modules.
 
 The verifier half recomputes everything from the definitions: residues,
-normal and good nodes, the Kleshchev recursion, the q = 1 criterion and
-content multisets.  A label's removable and addable nodes are found,
-grouped by residue, in one top-to-bottom pass over each component, and the
-normal and good nodes are then read off that grouping by the definition.
+normal and good nodes, the Kleshchev recursion and the q = 1 criterion.  A
+label's removable and addable nodes are found, grouped by residue, in one
+top-to-bottom pass over each component, and the normal and good nodes are
+then read off that grouping by the definition.
 The Kleshchev search tree is walked in full for every label it reads (no
 verdict is memoized); only each label's good-node children are computed
 once per scheme.  `oracle_simple_count` reads every label.  `oracle_kind`
@@ -62,6 +62,9 @@ under descriptive names:
     outside-content-transfers   contents away from the witness pair match
     row-column-gap              u_i q^(a1) misses short family candidates
     witness-content-transfers   contents at the witness component match
+
+Their table reads `params.part_content`, as `blocks` does; the verifier
+half above reads no fast module.
 """
 
 from dataclasses import dataclass
@@ -69,7 +72,7 @@ from itertools import chain, combinations, product
 
 from . import simples, structure
 from .combinatorics import Multipartition, enumerate_multipartitions
-from .params import ParamScheme, m1_regime_order, regime_relation, relations
+from .params import ParamScheme, m1_regime_order, part_content, regime_relation, relations
 from .structure import ALMOST_SEMISIMPLE, OTHER, SEMISIMPLE
 
 
@@ -232,16 +235,6 @@ class LemmaReport:
         return self.counterexample is None
 
 
-def _part_content(scheme, k, part):
-    return tuple(
-        sorted(
-            _residue(scheme, k, r, c)
-            for r in range(1, len(part) + 1)
-            for c in range(1, part[r - 1] + 1)
-        )
-    )
-
-
 def _witness_pair(scheme: ParamScheme, n: int) -> tuple[int, int]:
     """The pair (i, j) with u_j = q^(n-1) u_i, from the first relation with
     |c| = n - 1."""
@@ -263,7 +256,7 @@ def verify_lemmas(scheme: ParamScheme, n: int) -> dict[str, LemmaReport]:
     # The content table: each part's content in each component, and each
     # label's row of component contents.
     parts = sorted({part for mp in mps for part in mp})
-    content = {(k, part): _part_content(scheme, k, part) for k in components for part in parts}
+    content = {(k, part): part_content(scheme, k, part) for k in components for part in parts}
     rows = {alpha: [content[k, part] for k, part in enumerate(alpha, 1)] for alpha in mps}
     # Ordered pairs of distinct labels with equal full content.
     groups: dict[tuple, list[Multipartition]] = {}
@@ -292,7 +285,7 @@ def verify_lemmas(scheme: ParamScheme, n: int) -> dict[str, LemmaReport]:
             for r, s in combinations(range(scheme.m), 2):
                 common = set(row[r]) & set(row[s])
                 if common:
-                    yield f"alpha={alpha} components {r + 1},{s + 1} share {min(common)}"
+                    yield f"alpha={alpha} components {r + 1},{s + 1} share {tuple(min(common))}"
 
     def content_determines_part():
         # Within one component slot, content is injective.
@@ -310,14 +303,14 @@ def verify_lemmas(scheme: ParamScheme, n: int) -> dict[str, LemmaReport]:
             for k in components:
                 if k not in (i, j):
                     for x in missing(alpha, beta, k):
-                        yield f"alpha={alpha} beta={beta} k={k} x={x}"
+                        yield f"alpha={alpha} beta={beta} k={k} x={tuple(x)}"
 
     def row_column_gap():
         # If a1 + a2 < n then u_i q^(a1) misses cont(alpha).
         for alpha, row in rows.items():
             a1, a2 = row_and_column(alpha)
             target = _residue(scheme, i, 1, a1 + 1)  # u_i q^(a1)
-            if a1 + a2 < n and any(target in part_content for part_content in row):
+            if a1 + a2 < n and any(target in residues for residues in row):
                 yield f"alpha={alpha} a1={a1} a2={a2}"
 
     def witness_content_transfers():
@@ -325,7 +318,7 @@ def verify_lemmas(scheme: ParamScheme, n: int) -> dict[str, LemmaReport]:
         for alpha, beta in pairs:
             if sum(row_and_column(alpha)) < n:
                 for x in missing(alpha, beta, i):
-                    yield f"alpha={alpha} beta={beta} x={x}"
+                    yield f"alpha={alpha} beta={beta} x={tuple(x)}"
 
     searches = {
         "no-extra-relations": no_extra_relations(),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinatorics import Node
+from .combinatorics import Node, Partition
 
 
 class Residue(NamedTuple):
@@ -85,6 +85,12 @@ def residue_of(scheme: ParamScheme, node: Node) -> Residue:
     if scheme.e > 0:
         exp %= scheme.e
     return Residue(scheme.classes[k - 1], exp)
+
+
+def part_content(scheme: ParamScheme, k: int, part: Partition) -> tuple[Residue, ...]:
+    """Sorted residues of the nodes of `part` placed in component k."""
+    nodes = (Node(k, r, c) for r, length in enumerate(part, start=1) for c in range(1, length + 1))
+    return tuple(sorted(residue_of(scheme, node) for node in nodes))
 
 
 def relation_exponents(scheme: ParamScheme, i: int, j: int, bound: int) -> frozenset[int]:

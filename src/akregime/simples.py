@@ -130,27 +130,23 @@ def _group_series(e: int, offsets: tuple[int, ...], n: int) -> tuple[int, ...]:
             if height + value <= n:
                 exponents[height + value] += mult
 
-    if 0 < e <= n:
-        # k delta + alpha_I for every proper cyclic interval I of Z/e, and
-        # k delta (k >= 1) with multiplicity e - 1.
-        level = len(offsets)
-        for k in range(n // e + 1):
-            for start in range(e):
-                value = k * level
-                for length in range(1, min(e - 1, n - k * e) + 1):
-                    value += weight[(start + length - 1) % e]
-                    root(k * e + length, value)
-            if k:
-                root(k * e, k * level, e - 1)
-    else:
-        # e = 0 or e > n: the roots of height <= n are the alpha_I, I an
-        # interval of Z (of Z/e) of length <= n; c > 0 when I meets a shift.
-        wrap = (lambda x: x % e) if e else (lambda x: x)
-        for start in {wrap(s - d) for s in offsets for d in range(n)}:
-            value = 0
-            for length in range(1, n + 1):
+    # The positive roots are k delta + alpha_I, I a proper cyclic interval
+    # of Z/e (a finite interval of Z at e = 0), and k delta (k >= 1) with
+    # multiplicity e - 1.  The height is k e + |I|, so at e = 0 or e > n
+    # only k = 0 is within n.  c is k * level plus the weight on I: for
+    # k >= 1 it is positive at every start, but for k = 0 only when I meets
+    # a shift, so k = 0 takes only the starts within n - 1 below a shift.
+    level = len(offsets)
+    wrap = (lambda x: x % e) if e else (lambda x: x)
+    near = {wrap(s - d) for s in offsets for d in range(n)}
+    for k in range(n // e + 1 if e else 1):
+        for start in range(e) if k else near:
+            value = k * level
+            for length in range(1, (min(e - 1, n - k * e) if e else n) + 1):
                 value += weight[wrap(start + length - 1)]
-                root(length, value)
+                root(k * e + length, value)
+        if k:
+            root(k * e, k * level, e - 1)
     return tuple(euler_product(exponents.__getitem__, n))
 
 

@@ -73,11 +73,15 @@ class RegimeReport:
 class BlockStructure:
     n: int
     specht_order: tuple[Multipartition, ...] | None
-    simple_order: tuple[Multipartition, ...] | None
     decomposition: Matrix
     cartan: Matrix
     kz_dims: tuple[int, ...]
     exterior_dims: tuple[int, ...]
+
+    @property
+    def simple_order(self) -> tuple[Multipartition, ...] | None:
+        """The n Kleshchev members of specht_order, which come first."""
+        return None if self.specht_order is None else self.specht_order[: self.n]
 
     @property
     def hom_dims(self) -> Matrix:
@@ -204,16 +208,14 @@ def block_structure(report: RegimeReport, scheme: ParamScheme, n: int) -> BlockS
     """
     if report.kind != ALMOST_SEMISIMPLE:
         raise ValueError("block structure exists only in the almost-semisimple regime")
-    specht_order = simple_order = None
+    specht_order = None
     if scheme.m >= 2:
         family = lambda_family(scheme, n, family_orientation(report.witness))
         specht_order = family if report.witness[2] >= 0 else tuple(reversed(family))
-        simple_order = specht_order[:n]
     decomposition, cartan, kz = _block_matrices(n)
     return BlockStructure(
         n=n,
         specht_order=specht_order,
-        simple_order=simple_order,
         decomposition=decomposition,
         cartan=cartan,
         kz_dims=kz,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from akregime.blocks import (
@@ -8,6 +10,7 @@ from akregime.blocks import (
     lambda_family,
 )
 from akregime.combinatorics import enumerate_multipartitions
+from akregime.oracle import SweepGrid, _residue, grid_points
 from akregime.params import ParamScheme, Residue
 from akregime.simples import ariki_semisimple, simple_count
 
@@ -125,3 +128,46 @@ def test_blocks_union_is_full_enumeration():
         for block in partition.blocks:
             contents = {content(scheme, mp) for mp in block}
             assert len(contents) == 1
+
+
+@pytest.fixture(scope="module")
+def labelled_contents():
+    """(scheme, n, [(label, content)]) at every default-grid point with
+    e != 1, and at seeded schemes with m = 2, 3 and n = 5, 6."""
+    points = [(scheme, n) for _, n, scheme in grid_points(SweepGrid()) if scheme.e != 1]
+    rng = random.Random(22)
+    for m in (2, 3):
+        for n in (5, 6):
+            for _ in range(3):
+                e = rng.choice([0, rng.randint(2, 2 * n + 1)])
+                classes = tuple(rng.randint(0, 1) for _ in range(m))
+                shifts = tuple(rng.randint(-n, n) for _ in range(m))
+                points.append((ParamScheme(m=m, e=e, classes=classes, shifts=shifts), n))
+    return [
+        (scheme, n, [(mp, content(scheme, mp)) for mp in enumerate_multipartitions(scheme.m, n)])
+        for scheme, n in points
+    ]
+
+
+def test_content_matches_a_node_by_node_rebuild(labelled_contents):
+    # content() reads each part's residues; the rebuild takes every node's
+    # residue on its own, from the oracle's first-principles helper.
+    for scheme, _, labelled in labelled_contents:
+        for mp, residues in labelled:
+            nodes = [
+                _residue(scheme, k, r, c)
+                for k, part in enumerate(mp, start=1)
+                for r, length in enumerate(part, start=1)
+                for c in range(1, length + 1)
+            ]
+            assert residues == tuple(sorted(nodes)), (scheme, mp)
+
+
+def test_block_partition_groups_the_enumeration_by_content(labelled_contents):
+    # The same blocks, in the same order, as grouping the canonical
+    # enumeration by content().
+    for scheme, n, labelled in labelled_contents:
+        groups = {}
+        for mp, residues in labelled:
+            groups.setdefault(residues, []).append(mp)
+        assert block_partition(scheme, n).blocks == tuple(map(tuple, groups.values())), scheme
