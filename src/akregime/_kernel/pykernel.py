@@ -28,6 +28,15 @@ descent step brackets every residue at once, one run of equal rows at a
 time: a run has one addable node, at its top row, then one removable node,
 at its bottom row.
 
+Level one.  A group of one component needs no descent: its Kleshchev
+partitions are the e-restricted ones, every part gap (the last row's
+included) below e, and at e = 0 every partition (Ariki-Mathas, Math. Z.
+233 (2000)).  The shift only relabels the residues, so it plays no part.
+`kleshchev_verdicts` decides such groups by this rule, in time linear in
+the rows, and a witness path replayed through single-label calls costs
+one rule check per step.
+
+Groups of two or more components take the good-node descent, `_verdict`.
 Each step records every good child's verdict in the group's memo and goes
 on through the lowest good node (largest component, then row; see
 `_verdict`), so a bulk call makes about one walk per sub-multipartition.
@@ -125,21 +134,29 @@ def _verdict(e, shifts, mp, memo):
     return result
 
 
+def _restricted(e, part):
+    """Level-one verdict: every part gap, the last row's included, is below
+    e; every partition at e = 0."""
+    return not e or all(a - b < e for a, b in zip(part, part[1:] + (0,)))
+
+
 def kleshchev_verdicts(e, classes, shifts, mps):
     """Kleshchev verdict for each multipartition: the AND of its class
-    groups' verdicts, each group sharing one memo table confined to this
-    call, so concurrent callers never share state.  Requires e != 1."""
-    groups = [
-        (group, tuple(shifts[k] for k in group), {((),) * len(group): True})
-        for group in _groups(classes).values()
-    ]
-    if len(groups) == 1:
-        _, group_shifts, memo = groups[0]
-        return [_verdict(e, group_shifts, mp, memo) for mp in mps]
-    return [
-        all(
-            _verdict(e, group_shifts, tuple(mp[k] for k in group), memo)
-            for group, group_shifts, memo in groups
-        )
-        for mp in mps
-    ]
+    groups' verdicts.  A group of one component reads the level-one rule;
+    a larger group descends, sharing one memo table confined to this call,
+    so concurrent callers never share state.  Requires e != 1."""
+
+    def decider(group):
+        if len(group) == 1:
+            (k,) = group
+            return lambda mp: _restricted(e, mp[k])
+        group_shifts = tuple(shifts[k] for k in group)
+        memo = {((),) * len(group): True}
+        if len(group) == len(classes):
+            return lambda mp: _verdict(e, group_shifts, mp, memo)
+        return lambda mp: _verdict(e, group_shifts, tuple(mp[k] for k in group), memo)
+
+    deciders = [decider(group) for group in _groups(classes).values()]
+    if len(deciders) == 1:
+        return list(map(deciders[0], mps))
+    return [all(decide(mp) for decide in deciders) for mp in mps]

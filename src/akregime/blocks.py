@@ -5,10 +5,12 @@ equal content (the multiset of residues of all nodes).  Content is stored as
 a sorted residue tuple so multiset equality is plain equality and blocks can
 be grouped deterministically.  It is the sorted concatenation of the
 label's parts' contents, each read from `params.part_content`.
+`block_partition` keys each label by an exact integer code of its content
+instead (see there).
 """
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 
 from .combinatorics import Multipartition, enumerate_multipartitions
@@ -52,11 +54,24 @@ def block_partition(scheme: ParamScheme, n: int) -> BlockPartition:
     """
     if scheme.e == 1:
         raise QOneBlocksError("q=1 blocks unsupported")
-    table = cache(partial(part_content, scheme))  # each (component, part) once per call
-    by_content: dict[ContentMultiset, list[Multipartition]] = {}
+    # Content as an integer: each residue, numbered as first met, owns a
+    # digit of n.bit_length() bits, and each node adds 1 to its digit.  A
+    # label has n nodes, so no digit overflows and two labels get equal
+    # codes exactly when their contents are equal.
+    width = n.bit_length()
+    digits: dict[Residue, int] = {}
+
+    @cache  # each (component, part) once per call
+    def code(k: int, part: tuple[int, ...]) -> int:
+        return sum(
+            1 << digits.setdefault(residue, len(digits) * width)
+            for residue in part_content(scheme, k, part)
+        )
+
+    components = range(1, scheme.m + 1)
+    by_content: dict[int, list[Multipartition]] = {}
     for mp in enumerate_multipartitions(scheme.m, n):
-        parts = (table(k, part) for k, part in enumerate(mp, start=1))
-        by_content.setdefault(tuple(sorted(chain.from_iterable(parts))), []).append(mp)
+        by_content.setdefault(sum(map(code, components, mp)), []).append(mp)
     blocks = tuple(tuple(group) for group in by_content.values())
     exceptional = None
     if n >= 1:

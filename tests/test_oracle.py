@@ -103,10 +103,11 @@ def test_bulk_verdicts_do_not_depend_on_label_order():
 
 def test_bulk_verdicts_take_about_one_walk_per_label(monkeypatch):
     # Each walk finds every residue's good node, and the call records all
-    # of their verdicts; a descent that keeps one good child per step
-    # walks almost every label below the requested size (4.33 and 2.25
-    # walks per label here).
-    for classes, shifts, n, kleshchev in (((0,), (0,), 20, 627), ((0, 0), (0, 3), 10, 416)):
+    # of their verdicts; a descent that keeps only the lowest good child
+    # per step walks almost every label below the requested size (2.58 and
+    # 2.38 walks per label here).  Both are groups of two components: a
+    # group of one is decided by the level-one rule, without a walk.
+    for classes, shifts, n, kleshchev in (((0, 0), (0, 0), 12, 413), ((0, 0), (0, 3), 10, 416)):
         walks = _count_calls(monkeypatch, pykernel, "_good_index")
         labels = enumerate_multipartitions(len(classes), n)
         assert sum(_kernel.kleshchev_verdicts(0, classes, shifts, labels)) == kleshchev
@@ -117,15 +118,21 @@ def test_bulk_verdicts_take_about_one_walk_per_label(monkeypatch):
 def test_bulk_verdicts_walk_each_class_group_apart(monkeypatch):
     # Components of different classes never share a residue, so the kernel
     # decides each class group's sub-multipartition on its own, in a memo of
-    # its own.  Here both groups are level one at e = 0, where every
-    # partition is Kleshchev: the walks go to the two groups' partitions of
-    # size at most 12, not to the 1165 labels (a descent on whole labels
-    # makes 1176 walks).
+    # its own.  Here the two groups have two components each: the walks go
+    # to the groups' bipartitions of size at most 7 (419 walks), not to the
+    # 1240 labels.
+    walks = _count_calls(monkeypatch, pykernel, "_good_index")
+    labels = enumerate_multipartitions(4, 7)
+    assert len(labels) == 1240
+    assert sum(_kernel.kleshchev_verdicts(0, (0, 1, 0, 1), (0, 0, 3, 3), labels)) == 1160
+    assert len(walks) < len(labels) / 2, len(walks)
+    monkeypatch.undo()
+    # Groups of one component are decided by the level-one rule: at e = 0
+    # every partition is Kleshchev, and no walk is made.
     walks = _count_calls(monkeypatch, pykernel, "_good_index")
     labels = enumerate_multipartitions(2, 12)
-    assert len(labels) == 1165
     assert all(_kernel.kleshchev_verdicts(0, (0, 1), (0, 0), labels))
-    assert len(walks) < len(labels) / 2, len(walks)
+    assert not walks
     monkeypatch.undo()
     # Two interleaved components of one class and a third of another.
     scheme = ParamScheme(m=3, e=4, classes=(0, 1, 0), shifts=(0, 0, 3))

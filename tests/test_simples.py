@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from akregime import _kernel, simples
+from akregime._kernel import pykernel
 from akregime.combinatorics import (
     enumerate_multipartitions,
     mp_size,
@@ -46,14 +47,21 @@ def test_good_node_on_empty():
         assert good_node(REGIME_M2, ((), ()), Residue(0, exp)) is None
 
 
+def _descent(e, labels, shift=0):
+    """Level-one verdicts by the good-node descent alone, each label with a
+    fresh memo: `kleshchev_verdicts` decides a one-component group by the
+    e-restricted rule and never descends."""
+    return [pykernel._verdict(e, (shift,), mp, {((),): True}) for mp in labels]
+
+
 def test_long_labels_descend_without_recursion():
     # A 3000-box row or column is far deeper than the interpreter's
-    # recursion limit; the verdict is one loop down the good nodes.
+    # recursion limit; the descent is one loop down the good nodes.
     long_row, long_column = ((3000,),), ((1,) * 3000,)
-    assert _kernel.kleshchev_verdicts(0, (0,), (0,), [long_row, long_column]) == [True, True]
+    assert _descent(0, [long_row, long_column]) == [True, True]
     # m = 1: Kleshchev means e-restricted.
-    assert _kernel.kleshchev_verdicts(3001, (0,), (0,), [long_row]) == [True]
-    assert _kernel.kleshchev_verdicts(3000, (0,), (0,), [long_row]) == [False]
+    assert _descent(3001, [long_row]) == [True]
+    assert _descent(3000, [long_row]) == [False]
 
 
 class _RowReads(tuple):
@@ -66,18 +74,20 @@ class _RowReads(tuple):
         return super().__getitem__(index)
 
 
+TWO_RUNS = ((5,) * 40 + (2,) * 30,)
+THREE_RUNS = ((9,) * 30 + (6,) * 45 + (2,) * 60,)
+
+
 def test_kernel_matches_e_restricted_on_long_runs():
     # m = 1: Kleshchev means e-restricted, a closed form that reaches labels
-    # far beyond the oracle.  Long runs of equal rows need the walk to take
-    # each run whole and to close brackets before it opens the run's own.
-    two_runs = ((5,) * 40 + (2,) * 30,)
-    assert _kernel.kleshchev_verdicts(3, (0,), (0,), [two_runs]) == [False]
-    assert _kernel.kleshchev_verdicts(4, (0,), (0,), [two_runs]) == [True]
-    three_runs = ((9,) * 30 + (6,) * 45 + (2,) * 60,)
-    labels = [(p,) for n in range(15) for p in partitions(n)] + [two_runs, three_runs]
-    for e in range(2, 7):
-        expected = [e_restricted(mp[0], e) for mp in labels]
-        assert _kernel.kleshchev_verdicts(e, (0,), (0,), labels) == expected, e
+    # far beyond the oracle.  Long runs of equal rows need the descent's
+    # walk to take each run whole and to close brackets before it opens
+    # the run's own.
+    assert _descent(3, [TWO_RUNS]) == [False]
+    assert _descent(4, [TWO_RUNS]) == [True]
+    for e in range(2, 11):
+        expected = [e_restricted(mp[0], e) for mp in (TWO_RUNS, THREE_RUNS)]
+        assert _descent(e, [TWO_RUNS, THREE_RUNS]) == expected, e
     # Walking row by row gives the same brackets (each inner row's removable
     # is closed by the next row's addable) at a cost per row, not per run:
     # a column of 1000 equal rows is one run, read once by the walk and
@@ -85,6 +95,42 @@ def test_kernel_matches_e_restricted_on_long_runs():
     column = _RowReads((1,) * 1000)
     assert _kernel.good_node(0, (0,), (0,), (column,), (0, -999)) == (1, 1000, 1)
     assert column.reads <= 2
+
+
+def test_level_one_rule_matches_the_descent():
+    # The kernel decides a one-component group by the e-restricted rule;
+    # here the rule meets the descent label by label, at every partition
+    # of n <= 14 and on the long runs, with a shift that only relabels the
+    # residues.
+    for n in range(15):
+        labels = [(p,) for p in partitions(n)]
+        for e in sorted({0, *range(2, 8), n + 1} - {1}):
+            shift = n % 4 - 1
+            expected = _descent(e, labels, shift)
+            assert _kernel.kleshchev_verdicts(e, (0,), (shift,), labels) == expected, (n, e)
+    for e in (0, *range(2, 11)):
+        labels = [TWO_RUNS, THREE_RUNS]
+        assert _kernel.kleshchev_verdicts(e, (0,), (0,), labels) == _descent(e, labels), e
+
+
+def test_witness_path_makes_at_most_two_walks_per_step(monkeypatch):
+    # Each step of the replay makes one verdict call per residue tried; a
+    # level-one group's verdict reads the rule and makes no walk, so what
+    # is left is the good_node walk of each residue tried (one here, at
+    # the first residue in order).  A descent per verdict call made about
+    # 451 walks per step on this 900-step path.
+    walks = []
+    walk = pykernel._good_index
+
+    def counted(*args):
+        walks.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(pykernel, "_good_index", counted)
+    scheme = ParamScheme(m=2, e=0, classes=(0, 1), shifts=(0, 0))
+    verdict = is_kleshchev(scheme, ((600,), (300,)))
+    assert verdict.is_kleshchev and len(verdict.witness_path) == 900
+    assert len(walks) <= 2 * 900, len(walks) / 900
 
 
 def test_good_node_rejects_q_one():
