@@ -1,12 +1,11 @@
 """Content multisets and the block partition of Specht modules for q != 1.
 
 Two Specht modules lie in the same block iff their multipartitions have
-equal content (the multiset of residues of all nodes).  Content is stored as
-a sorted residue tuple so multiset equality is plain equality and blocks can
-be grouped deterministically.  It is the sorted concatenation of the
-label's parts' contents, each read from `params.part_content`.
-`block_partition` keys each label by an exact integer code of its content
-instead (see there).
+equal content (the multiset of residues of all nodes).  `content` returns
+it as a sorted residue tuple, the sorted concatenation of the label's
+parts' contents, each read from `params.part_content`.  `block_partition`
+groups the labels by an exact integer code of the same multiset (see
+there).
 """
 
 from dataclasses import dataclass

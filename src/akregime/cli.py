@@ -52,10 +52,10 @@ from .structure import InconsistentRegimeError
 
 
 # The most labels one (m, n) may have: m = 3, n = 20 has 341,649, and its
-# count-simples, which lists them, took 2.5-7 s with the pure-Python kernel
-# on a 2-vCPU Xeon, and blocks, which keys them by content, 5.5-7 s with
-# 181 MB peak RSS (classify, block-structure and audit list none and took
-# 0.2-0.3 s); m = 3, n = 21 has 521,196.
+# count-simples, which lists them, took about 1 s with 55 MB peak RSS on a
+# 2-vCPU Xeon, and blocks, which keys them by content, 2.6-2.9 s with
+# 126 MB (classify, block-structure and audit list none and took
+# 0.2-0.3 s); all process included.  m = 3, n = 21 has 521,196.
 LABEL_LIMIT = 350_000
 
 # The most label-points (each grid point's label count, summed over the

@@ -133,8 +133,15 @@ def test_blocks_union_is_full_enumeration():
 @pytest.fixture(scope="module")
 def labelled_contents():
     """(scheme, n, [(label, content)]) at every default-grid point with
-    e != 1, and at seeded schemes with m = 2, 3 and n = 5, 6."""
+    e != 1, at seeded schemes with m = 2, 3 and n = 5, 6, and at points
+    where some label has more nodes of one residue than a digit of
+    block_partition's key one bit narrower holds (two at n = 3, one at
+    n = 1), so a narrower digit would carry into the next residue's."""
     points = [(scheme, n) for _, n, scheme in grid_points(SweepGrid()) if scheme.e != 1]
+    points += [
+        (REGIME_M2, 1),
+        (ParamScheme(m=4, e=4, classes=(0, 0, 0, 0), shifts=(0, 1, 2, 3)), 3),
+    ]
     rng = random.Random(22)
     for m in (2, 3):
         for n in (5, 6):
@@ -171,17 +178,3 @@ def test_block_partition_groups_the_enumeration_by_content(labelled_contents):
         for mp, residues in labelled:
             groups.setdefault(residues, []).append(mp)
         assert block_partition(scheme, n).blocks == tuple(map(tuple, groups.values())), scheme
-
-
-def test_block_partition_keys_stay_exact_where_a_narrower_digit_would_carry():
-    # block_partition keys each label by an integer in which every residue
-    # owns n.bit_length() bits.  At these points some labels have more
-    # nodes of one residue than a digit one bit narrower holds (two at
-    # n = 3, one at n = 1), so a narrower digit would carry into the next
-    # residue's and merge blocks.
-    shifted = ParamScheme(m=4, e=4, classes=(0, 0, 0, 0), shifts=(0, 1, 2, 3))
-    for scheme, n in ((REGIME_M2, 1), (shifted, 3)):
-        groups = {}
-        for mp in enumerate_multipartitions(scheme.m, n):
-            groups.setdefault(content(scheme, mp), []).append(mp)
-        assert block_partition(scheme, n).blocks == tuple(map(tuple, groups.values())), (scheme, n)

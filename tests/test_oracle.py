@@ -142,6 +142,18 @@ def test_bulk_verdicts_walk_each_class_group_apart(monkeypatch):
     assert (sum(bulk), len(labels)) == (261, 429)
 
 
+def test_witness_path_makes_at_most_two_walks_per_step(monkeypatch):
+    # Each step of the replay makes one verdict call per residue tried; a
+    # level-one group's verdict reads the rule and makes no walk, so what
+    # is left is the good_node walk of each residue tried (one here, at
+    # the first residue in order).  A descent per verdict call made about
+    # 451 walks per step on this 900-step path.
+    walks = _count_calls(monkeypatch, pykernel, "_good_index")
+    verdict = is_kleshchev(ParamScheme(m=2, e=0, classes=(0, 1), shifts=(0, 0)), ((600,), (300,)))
+    assert verdict.is_kleshchev and len(verdict.witness_path) == 900
+    assert len(walks) <= 2 * 900, len(walks) / 900
+
+
 @pytest.mark.parametrize(
     "classes, shifts, n", [((0, 0), (0, 1), 4), ((0, 0, 1), (0, 1, 0), 3)]
 )
