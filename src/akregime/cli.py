@@ -17,12 +17,14 @@ fresh namespace, and usage errors print to the `sys.stderr` of the moment).
 Each verb takes only its own options: the point verbs --m, --n, --scheme,
 --kappa; bn-algebra --n; sweep --grid; all of them --format.
 
-Before any enumeration, each point verb, and `sweep --grid` for each of
-its (m, n), counts the m-multipartitions of n by generating function and
-exits 1 when there are more than LABEL_LIMIT.  `sweep` then counts its
-grid points per (m, n) and exits 1 when points times labels, summed over
-the grid, is more than GRID_LIMIT.  `bn-algebra` exits 1 when n is more
-than BN_LIMIT, before building B(n).
+Before any enumeration, each point verb but `classify`, and `sweep
+--grid` for each of its (m, n), counts the m-multipartitions of n by
+generating function and exits 1 when there are more than LABEL_LIMIT.
+`classify` lists no label, so it is charged the formula's own cost,
+(m + 1) n^2 + m^2, and exits 1 when that is more than CLASSIFY_LIMIT.
+`sweep` then counts its grid points per (m, n) and exits 1 when points
+times labels, summed over the grid, is more than GRID_LIMIT.  `bn-algebra`
+exits 1 when n is more than BN_LIMIT, before building B(n).
 
 When the reader of stdout goes away (`... | head -1`), `main` exits 1
 without a traceback.
@@ -51,12 +53,24 @@ from .simples import simple_count
 from .structure import InconsistentRegimeError
 
 
-# The most labels one (m, n) may have: m = 3, n = 20 has 341,649, and its
+# The most labels one (m, n) may have for count-simples, blocks,
+# block-structure and audit: m = 3, n = 20 has 341,649, and its
 # count-simples, which lists them, took about 1 s with 55 MB peak RSS on a
 # 2-vCPU Xeon, and blocks, which keys them by content, 2.6-2.9 s with
-# 126 MB (classify, block-structure and audit list none and took
-# 0.2-0.3 s); all process included.  m = 3, n = 21 has 521,196.
+# 126 MB (block-structure and audit list none and took 0.2-0.3 s); all
+# process included.  m = 3, n = 21 has 521,196.
 LABEL_LIMIT = 350_000
+
+# The most that classify's formula may cost, in units of (m + 1) n^2 + m^2:
+# the roots of the m shifts' series up to height n (m n^2), the
+# generating-function series of n^2 big-integer terms each, and the m^2
+# pairs of the relation scan at a regime point.  m = 3, n = 30 costs 3,609
+# and took 1-4 ms in process on a 2-vCPU Xeon.  Near the limit, the
+# slowest schemes tried took 0.58 s in process at m = 1, n = 999, 0.60 s
+# at m = 10, n = 426, 0.65 s at m = 100, n = 140 (0.72 s, process
+# included), 0.42 s at m = 1000, n = 31 and 0.60 s at the regime point
+# m = 1413, n = 1; m = 1, n = 1414 (cost 4.0e6) took 1.5 s.
+CLASSIFY_LIMIT = 2_000_000
 
 # The most label-points (each grid point's label count, summed over the
 # grid) one sweep may have; the default grid has 148,806.  What a
@@ -124,6 +138,14 @@ def _check_budget(m: int, n: int) -> None:
         )
 
 
+def _check_formula_budget(m: int, n: int) -> None:
+    if (m + 1) * n * n + m * m > CLASSIFY_LIMIT:
+        raise ValueError(
+            f"over-budget: m={m}, n={n} costs classify's formula more than "
+            f"{CLASSIFY_LIMIT} ((m + 1) n^2 + m^2), the limit for one point"
+        )
+
+
 def _check_grid_budget(grid: oracle.SweepGrid) -> None:
     # Each (m, n) is checked first, so every label count below is exact.
     for m in grid.m_values:
@@ -139,22 +161,23 @@ def _check_grid_budget(grid: oracle.SweepGrid) -> None:
             )
 
 
-def _resolve_params(args) -> tuple[ParamScheme, int, KappaInput | None]:
+def _resolve_params(args, check=_check_budget) -> tuple[ParamScheme, int, KappaInput | None]:
+    """The point's scheme, n and kappa data, after `check(m, n)` passed."""
     if (args.scheme is None) == (args.kappa is None):
         raise SchemeParseError("exactly one of --scheme and --kappa is required")
     if args.scheme is not None:
         if args.m is None or args.n is None:
             raise SchemeParseError("--scheme requires --m and --n")
-        scheme, n, kappa = parse_scheme(args.scheme, args.m), args.n, None
-    else:
-        kappa = parse_kappa(args.kappa)
-        if args.m is not None and args.m != kappa.m:
-            raise SchemeParseError("--m disagrees with the kappa string")
-        if args.n is not None and args.n != kappa.n:
-            raise SchemeParseError("--n disagrees with the kappa string")
-        scheme, n = scheme_from_kappa(kappa), kappa.n
-    _check_budget(scheme.m, n)
-    return scheme, n, kappa
+        scheme = parse_scheme(args.scheme, args.m)
+        check(scheme.m, args.n)
+        return scheme, args.n, None
+    kappa = parse_kappa(args.kappa)
+    if args.m is not None and args.m != kappa.m:
+        raise SchemeParseError("--m disagrees with the kappa string")
+    if args.n is not None and args.n != kappa.n:
+        raise SchemeParseError("--n disagrees with the kappa string")
+    check(kappa.m, kappa.n)
+    return scheme_from_kappa(kappa), kappa.n, kappa
 
 
 def _cmd_count_simples(args, out) -> int:
@@ -173,7 +196,7 @@ def _cmd_count_simples(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    scheme, n, kappa = _resolve_params(args)
+    scheme, n, kappa = _resolve_params(args, _check_formula_budget)
     report = structure.classify_regime(scheme, n, kappa=kappa)
     pairs = [
         ("kind", report.kind),

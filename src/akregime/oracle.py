@@ -8,24 +8,34 @@ then read off that grouping by the definition.
 The Kleshchev search tree is walked in full for every label it reads (no
 verdict is memoized); only each label's good-node children are computed
 once per scheme.  `oracle_simple_count` reads every label.  `oracle_kind`
-stops at the second non-Kleshchev label: the kind only tells 0, 1 or at
-least 2 misses apart, and a second miss already rules out the N - 1 simples
-of the almost-semisimple regime, whatever the later labels are.  None of
-the verifier half calls into the kernel, simples or blocks, so agreement
-between it and the fast path is a genuine two-route check.  Only the
-multipartition enumeration is shared plumbing (it has its own
-generating-function cross-check in the test suite).
+stops at the second non-Kleshchev label (`verdict_kind`): the kind only
+tells 0, 1 or at least 2 misses apart, and a second miss already rules out
+the N - 1 simples of the almost-semisimple regime, whatever the later
+labels are.  None of the verifier half calls into the kernel, simples or
+blocks, so agreement between it and the fast path is a genuine two-route
+check.  Only the multipartition enumeration is shared plumbing (it has its
+own generating-function cross-check in the test suite).
 
 The sweep half (`regime_locus`) runs three routes to a point's kind:
 `structure.classify_regime`, which counts the simple modules by the
 principal-specialization formula (`simples.kleshchev_count`) and makes at
-most one single-label kernel call; the kernel's verdict on every label
-(`simples.simple_count`, in bulk); and the verifier's recursion.  It reads
-the parameter-side regime test from `params`.  Each route takes the kind
-from a count of simple modules, which reads no relation, so a wrong shared
+most one single-label kernel call; the kernel's bulk verdicts
+(`simples.simple_verdicts`); and the verifier's recursion.  It reads the
+parameter-side regime test from `params`.  Each route takes the kind from
+the simple modules it counts, which reads no relation, so a wrong shared
 test still shows: a missed regime point makes `classify_regime` raise
 InconsistentRegimeError, and an accepted point outside the regime is a
 prediction mismatch.
+
+The oracle runs first, and its reach (the labels it read in canonical
+order: up to its second miss, or all of them) is the kernel's first call.
+Both verdict routes read their kind with `verdict_kind`.  The kernel's kind
+is still that of its verdicts on every label: two kernel misses in the
+prefix decide OTHER, since misses only add up; a prefix of all the labels
+is the full list; and when the oracle stopped early but the kernel found
+fewer than two misses there, the kernel decides the remaining labels too.
+So no check is weaker than deciding every label, and no label is decided
+twice.
 
 Beyond m and whether e = 1, the oracle reads the parameters only through
 residues, which it compares for equality (to group nodes, or at e = 1 to
@@ -205,21 +215,35 @@ def oracle_simple_count(scheme: ParamScheme, n: int) -> int:
     return sum(_label_verdicts(scheme, n))
 
 
-def oracle_kind(scheme: ParamScheme, n: int) -> str:
-    """SEMISIMPLE when every label indexes a simple module, ALMOST_SEMISIMPLE
-    when exactly one does not, OTHER otherwise.
+def verdict_kind(verdicts) -> tuple[str, int]:
+    """The kind of a stream of per-label verdicts (True for a simple
+    module), read in order, and how many verdicts were read.
 
-    The labels are read in canonical order only until the second that is
-    not Kleshchev: two misses already mean at most N - 2 simples, and no
-    later verdict can raise the count back.  Without a second miss every
-    label has been read, so 0 or 1 misses is the exact count."""
-    misses = 0
-    for simple in _label_verdicts(scheme, n):
+    Reading stops at the second miss (False): two misses already mean at
+    most N - 2 simples, and no later verdict can raise the count back, so
+    the kind is OTHER.  Without a second miss every verdict has been read,
+    and 0 or 1 misses give SEMISIMPLE or ALMOST_SEMISIMPLE exactly."""
+    misses = read = 0
+    for simple in verdicts:
+        read += 1
         if not simple:
             misses += 1
             if misses == 2:
-                return OTHER
-    return SEMISIMPLE if misses == 0 else ALMOST_SEMISIMPLE
+                return OTHER, read
+    return (SEMISIMPLE if misses == 0 else ALMOST_SEMISIMPLE), read
+
+
+def oracle_kind(scheme: ParamScheme, n: int, *, reach: list | None = None) -> str:
+    """SEMISIMPLE when every label indexes a simple module, ALMOST_SEMISIMPLE
+    when exactly one does not, OTHER otherwise, read off the oracle's
+    verdicts in canonical label order by `verdict_kind`.
+
+    When `reach` is a list, the number of labels read is appended to it:
+    up to and including the second non-Kleshchev label, or all of them."""
+    kind, read = verdict_kind(_label_verdicts(scheme, n))
+    if reach is not None:
+        reach.append(read)
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +495,32 @@ def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:
     return (scheme.m, n, scheme.e == 1, pattern)
 
 
+def _kernel_kind(scheme: ParamScheme, n: int, reach: int) -> str:
+    """The kind of the kernel's verdicts on every label, deciding first only
+    the first `reach` labels in canonical order (the oracle's reach).
+
+    Two misses there decide OTHER, and a prefix of all the labels decides
+    the kind exactly.  Otherwise the rest are decided in a second call and
+    the kind is read off both calls' verdicts in order, so it is always
+    the kind of the full verdict list and no label is decided twice."""
+    labels = enumerate_multipartitions(scheme.m, n)
+    verdicts = simples.simple_verdicts(scheme, labels[:reach])
+    kind, _ = verdict_kind(verdicts)
+    if kind != OTHER and reach < len(labels):
+        rest = simples.simple_verdicts(scheme, labels[reach:])
+        kind, _ = verdict_kind(chain(verdicts, rest))
+    return kind
+
+
 def regime_locus(grid: SweepGrid) -> list[GridPointResult]:
     """One GridPointResult per point of `grid_points(grid)`, in that order.
 
     fast_kind comes from structure.classify_regime (the formula's count),
-    kernel_kind from the kernel's verdict on every label
-    (simples.simple_count) and oracle_kind from the naive recursion.  Each
-    runs once per `_residue_pattern` and is reused at the pattern's later
-    points (the module docstring says why that is exact).  A point agrees
+    oracle_kind from the naive recursion and kernel_kind from the kernel's
+    verdicts (`_kernel_kind`), which decide the labels up to the oracle's
+    second miss and the rest only when the kind needs them.  Each runs
+    once per `_residue_pattern` and is reused at the pattern's later points
+    (the module docstring says why both are exact).  A point agrees
     when all three kinds are equal.  predicted_regime, the parameter-side
     condition set, is evaluated at every point.  The pattern-to-kinds dict
     lives for this call only.  Disagreements are recorded, never suppressed.
@@ -489,11 +531,12 @@ def regime_locus(grid: SweepGrid) -> list[GridPointResult]:
         pattern = _residue_pattern(scheme, n)
         routes = kinds.get(pattern)
         if routes is None:
-            count, non_simple = simples.simple_count(scheme, n)
+            reach: list = []
+            naive_kind = oracle_kind(scheme, n, reach=reach)
             routes = kinds[pattern] = (
                 structure.classify_regime(scheme, n).kind,
-                structure.kind_of(count, count + len(non_simple)),
-                oracle_kind(scheme, n),
+                _kernel_kind(scheme, n, reach[0]),
+                naive_kind,
             )
         fast_kind, kernel_kind, naive_kind = routes
         predicted = _predicted_regime(scheme, n)

@@ -159,24 +159,20 @@ def scheme_from_kappa(k: KappaInput) -> ParamScheme:
     e = t_q.denominator if t_q != 0 else 1
     p = t_q.numerator  # q = exp(2*pi*i*p/e), gcd(p, e) = 1
 
-    # u_i ~ u_j iff u_i/u_j lies in <q> = {multiples of 1/e in Q/Z}.
+    # u_i ~ u_j iff u_i/u_j lies in <q> = {multiples of 1/e in Q/Z}, that
+    # is iff t_i e = t_j e mod 1, so classes are keyed by t e mod 1.
     classes: list[int] = []
     shifts: list[int] = []
-    reps: list[tuple[int, Fraction]] = []  # (label, exponent of class rep)
+    reps: dict[Fraction, tuple[int, Fraction]] = {}  # key -> (label, exponent of class rep)
     for t in t_u:
-        label = None
-        for lab, t_rep in reps:
-            if ((t - t_rep) * e).denominator == 1:
-                label = lab
-                break
-        if label is None:
-            label = len(reps)
-            reps.append((label, t))
+        key = t * e % 1
+        if key not in reps:
+            reps[key] = (len(reps), t)
             shifts.append(0)
         else:
-            d = int((t - reps[label][1]) * e)  # u = q^s * rep: solve s*p = d mod e
+            d = int((t - reps[key][1]) * e)  # u = q^s * rep: solve s*p = d mod e
             shifts.append(d * pow(p, -1, e) % e if e > 1 else 0)
-        classes.append(label)
+        classes.append(reps[key][0])
     return ParamScheme(m=m, e=e, classes=tuple(classes), shifts=tuple(shifts))
 
 

@@ -106,9 +106,10 @@ def simple_verdicts(scheme: ParamScheme, mps) -> list[bool]:
 
 def simple_count(scheme: ParamScheme, n: int) -> tuple[int, tuple[Multipartition, ...]]:
     """Number of nonzero D^lambda and the labels with D^lambda = 0, from a
-    verdict on every label.  Its callers are those that list the labels:
-    the `count-simples` verb and the kernel route of the sweep.  The count
-    alone is `kleshchev_count`."""
+    verdict on every label.  Its caller is the `count-simples` verb, which
+    lists the labels; the sweep's kernel route calls `simple_verdicts` on
+    the labels its kind needs (see `oracle.regime_locus`).  The count alone
+    is `kleshchev_count`."""
     mps = enumerate_multipartitions(scheme.m, n)
     flags = simple_verdicts(scheme, mps)
     non_simple = tuple(mp for mp, ok in zip(mps, flags) if not ok)

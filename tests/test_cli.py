@@ -221,14 +221,58 @@ def _refuse_enumeration(monkeypatch):
 )
 def test_oversized_input_exits_1_before_enumerating(argv, capsys, monkeypatch):
     # m = 3, n = 30 has 16,790,136 labels; the count comes from the
-    # generating function, so the refusal costs no enumeration.
+    # generating function, so the refusal costs no enumeration.  classify
+    # lists no label and is charged its formula's cost instead, which m = 3,
+    # n = 30 is well under: it answers, again without enumerating.
     _refuse_enumeration(monkeypatch)
     started = time.perf_counter()
     status, out = invoke(*argv, "--format", "machine")
     assert time.perf_counter() - started < 0.5
+    if argv[0] == "classify":
+        simple_count = 62748 if "--kappa" in argv else 4718712
+        assert (status, out) == (
+            0,
+            f"kind=other\tsimple_count={simple_count}\tirrep_count=16790136"
+            "\twitness=none\tnon_kleshchev=none\n",
+        )
+        return
     assert (status, out) == (1, "")
     err = capsys.readouterr().err
     assert "error: over-budget: m=3, n=30 has more than 350000 labels (m-multipartitions" in err
+
+
+@pytest.mark.parametrize(
+    "m, n, admitted",
+    [(1, 999, True), (1, 1000, False), (100, 140, True), (1413, 1, True), (1414, 1, False)],
+)
+def test_classify_budget_charges_the_formula_cost(m, n, admitted):
+    # (m + 1) n^2 + m^2 against CLASSIFY_LIMIT: admitted at m = 1, n = 999
+    # (1,996,003) and refused at n = 1000 (2,000,001).
+    if admitted:
+        cli._check_formula_budget(m, n)
+    else:
+        with pytest.raises(ValueError, match=f"over-budget: m={m}, n={n} costs classify"):
+            cli._check_formula_budget(m, n)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "1", "--n", "1000", "--scheme", "e=0;class=0;shift=0"],
+        ["--kappa", "m=1414;n=1;kappa00=1/2;kappa=" + ",".join(["0"] * 1413)],
+    ],
+    ids=["scheme", "kappa"],
+)
+def test_classify_over_its_budget_exits_1(argv, capsys, monkeypatch):
+    # The refusal comes before the scheme is built or classified.
+    monkeypatch.setattr(cli, "scheme_from_kappa", None)
+    monkeypatch.setattr(akregime.structure, "classify_regime", None)
+    started = time.perf_counter()
+    status, out = invoke("classify", *argv, "--format", "machine")
+    assert time.perf_counter() - started < 0.5
+    assert (status, out) == (1, "")
+    err = capsys.readouterr().err
+    assert "error: over-budget:" in err and "costs classify's formula more than 2000000" in err
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import io
 import random
 import re
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -31,7 +31,7 @@ from akregime.oracle import (
     regime_locus,
     verify_lemmas,
 )
-from akregime.params import ParamScheme, regime_relation, relation_exponents
+from akregime.params import ParamScheme, parse_scheme, regime_relation, relation_exponents
 from akregime.simples import good_node, is_kleshchev, simple_count
 from akregime.structure import InconsistentRegimeError, classify_regime
 
@@ -259,10 +259,12 @@ def test_oracle_kind_stops_at_the_second_miss(monkeypatch):
             yield verdict
 
     monkeypatch.setattr(oracle, "_label_verdicts", counted)
-    assert oracle_kind(scheme, n) == OTHER
+    reach = []
+    assert oracle_kind(scheme, n, reach=reach) == OTHER
     assert read.count(False) == 2
     assert read[-1] is False
     assert len(read) < total
+    assert reach == [len(read)]
 
 
 def test_oracle_good_node_agrees():
@@ -568,9 +570,9 @@ def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -585,6 +587,87 @@ def test_regime_locus_runs_oracle_once_per_pattern(monkeypatch):
     fast_patterns = {_residue_pattern(*args) for args in fast}
     assert len(fast_patterns) == 1309
     assert fast_patterns == {_residue_pattern(*args) for args in naive}
+
+
+def _second_miss(scheme, n):
+    """Index of the oracle's second non-Kleshchev label in canonical order,
+    or None; the oracle's verdicts are read only that far."""
+    misses = (i for i, ok in enumerate(oracle._label_verdicts(scheme, n)) if not ok)
+    return next(islice(misses, 1, None), None)
+
+
+def test_sweep_kernel_stops_at_the_oracles_second_miss(monkeypatch):
+    # The kernel is handed the labels up to the oracle's second miss, and
+    # the rest only when the kind needs them.  On the default grid the
+    # kernel agrees with the oracle everywhere, so no rest is decided: the
+    # calls are those of deciding every label (1428, with classify_regime's
+    # single-label calls), on 11,372 labels instead of 43,411.
+    calls = _count_calls(monkeypatch, _kernel, "kleshchev_verdicts")
+    rows = regime_locus(SweepGrid())
+    assert len(calls) == 1428
+    assert sum(len(args[3]) for args in calls) == 11_372
+    checked = set()
+    for e, classes, shifts, mps in calls:
+        scheme = ParamScheme(m=len(classes), e=e, classes=classes, shifts=shifts)
+        n = sum(map(sum, mps[0]))
+        second = _second_miss(scheme, n)
+        if second is None:
+            continue
+        index = {mp: i for i, mp in enumerate(enumerate_multipartitions(scheme.m, n))}
+        assert max(index[mp] for mp in mps) <= second, (scheme.describe(), n)
+        checked.add(_residue_pattern(scheme, n))
+    other = {
+        _residue_pattern(row.scheme, row.n)
+        for row in rows
+        if row.oracle_kind == OTHER and row.scheme.e != 1
+    }
+    assert checked == other
+    assert len(other) > 900
+
+
+@pytest.mark.parametrize(
+    "n, planted, misses",
+    [(3, "e=3;class=0,1;shift=0,0", 2), (2, "e=2;class=0,0;shift=0,1", 3)],
+    ids=["two-misses", "three-misses"],
+)
+def test_planted_kernel_simple_at_the_oracles_second_miss(n, planted, misses, monkeypatch):
+    # A kernel that calls the oracle's second miss simple finds at most one
+    # miss among the labels the oracle read, so the route must decide the
+    # rest.  With two misses in all, the kernel's full verdict list has one:
+    # every row of the pattern must read almost_semisimple and disagree (a
+    # route that copies the oracle's kind shows none).  With three, the rest
+    # holds the third miss: no row may disagree (a route that reads the
+    # kind off the oracle's reach alone disagrees).
+    scheme = parse_scheme(planted, 2)
+    pattern = _residue_pattern(scheme, n)
+    labels = enumerate_multipartitions(2, n)
+    missed = [mp for mp, ok in zip(labels, oracle._label_verdicts(scheme, n)) if not ok]
+    assert len(missed) == misses
+    reach = _second_miss(scheme, n) + 1
+    assert reach < len(labels)
+    verdicts = _kernel.kleshchev_verdicts
+    decided = []
+
+    def plant(e, classes, shifts, mps):
+        out = verdicts(e, classes, shifts, mps)
+        here = ParamScheme(m=len(classes), e=e, classes=classes, shifts=shifts)
+        if _residue_pattern(here, n) != pattern:
+            return out
+        decided.append(tuple(mps))
+        return [ok or mp == missed[1] for mp, ok in zip(mps, out)]
+
+    monkeypatch.setattr(_kernel, "kleshchev_verdicts", plant)
+    rows = regime_locus(SweepGrid(m_values=(2,), n_values=(n,)))
+    assert decided == [labels[:reach], labels[reach:]]
+    wrong = [row for row in rows if not row.agree]
+    if misses == 2:
+        assert wrong == [row for row in rows if _residue_pattern(row.scheme, n) == pattern]
+        assert len(wrong) > 1
+        assert {(row.fast_kind, row.kernel_kind, row.oracle_kind) for row in wrong} == {
+            (OTHER, ALMOST_SEMISIMPLE, OTHER)
+        }
+    else:
+        assert wrong == []
 
 
 def test_planted_fast_kind_shows_at_a_reused_pattern(monkeypatch):
