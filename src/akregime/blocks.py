@@ -4,8 +4,9 @@ Two Specht modules lie in the same block iff their multipartitions have
 equal content (the multiset of residues of all nodes).  `content` returns
 it as a sorted residue tuple, the sorted concatenation of the label's
 parts' contents, each read from `params.part_content`.  `block_partition`
-groups the labels by an exact integer code of the same multiset (see
-there).
+groups the labels by an exact integer code of the same multiset, which it
+adds up from each part's diagonals without building a residue (see there),
+so the two are independent routes to one content.
 """
 
 from dataclasses import dataclass
@@ -58,14 +59,20 @@ def block_partition(scheme: ParamScheme, n: int) -> BlockPartition:
     # label has n nodes, so no digit overflows and two labels get equal
     # codes exactly when their contents are equal.
     width = n.bit_length()
-    digits: dict[Residue, int] = {}
+    digits: dict[tuple[int, int], int] = {}
+    e = scheme.e
 
     @cache  # each (component, part) once per call
     def code(k: int, part: tuple[int, ...]) -> int:
-        return sum(
-            1 << digits.setdefault(residue, len(digits) * width)
-            for residue in part_content(scheme, k, part)
-        )
+        # Node (r, c) of component k has residue (class_k, shift_k + c - r
+        # mod e): row r covers the diagonals c - r = 1 - r .. part[r-1] - r.
+        cls, shift = scheme.classes[k - 1], scheme.shifts[k - 1]
+        total = 0
+        for r, length in enumerate(part, start=1):
+            for d in range(shift + 1 - r, shift + length + 1 - r):
+                residue = (cls, d % e if e else d)
+                total += 1 << digits.setdefault(residue, len(digits) * width)
+        return total
 
     components = range(1, scheme.m + 1)
     by_content: dict[int, list[Multipartition]] = {}

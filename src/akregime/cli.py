@@ -20,6 +20,8 @@ Each verb takes only its own options: the point verbs --m, --n, --scheme,
 Before any enumeration, each point verb but `classify`, and `sweep
 --grid` for each of its (m, n), counts the m-multipartitions of n by
 generating function and exits 1 when there are more than LABEL_LIMIT.
+Those point verbs also exit 1 when the labels hold more than
+LABEL_SIZE_LIMIT components in all (labels times m).
 `classify` lists no label, so it is charged the formula's own cost,
 (m + 1) n^2 + m^2, and exits 1 when that is more than CLASSIFY_LIMIT.
 `sweep` then counts its grid points per (m, n) and exits 1 when points
@@ -38,7 +40,7 @@ import sys
 from . import bn as bn_mod
 from . import oracle, structure
 from .blocks import BadWitnessError, block_partition
-from .combinatorics import Multipartition, multipartition_count
+from .combinatorics import Multipartition, Partition, multipartition_count
 from .params import (
     KappaInput,
     ParamScheme,
@@ -60,6 +62,12 @@ from .structure import InconsistentRegimeError
 # 126 MB (block-structure and audit list none and took 0.2-0.3 s); all
 # process included.  m = 3, n = 21 has 521,196.
 LABEL_LIMIT = 350_000
+
+# The most components that one (m, n)'s labels may hold in all, labels
+# times m, for the same verbs: a label is an m-tuple, so its size grows
+# with m.  m = 3, n = 20 holds 1,024,947 and m = 1000, n = 1 1,000,000;
+# m = 800, n = 2 (321,200 labels) would hold 256,960,000, about 2 GB.
+LABEL_SIZE_LIMIT = 3 * LABEL_LIMIT
 
 # The most that classify's formula may cost, in units of (m + 1) n^2 + m^2:
 # the roots of the m shifts' series up to height n (m n^2), the
@@ -94,12 +102,17 @@ class _Parser(argparse.ArgumentParser):
         raise SchemeParseError(message)
 
 
-def format_multipartition(mp: Multipartition) -> str:
-    return "[" + ",".join("(" + ",".join(str(p) for p in part) + ")" for part in mp) + "]"
+def format_part(part: Partition) -> str:
+    return "(" + ",".join(map(str, part)) + ")"
 
 
-def _format_labels(mps) -> str:
-    return "|".join(format_multipartition(mp) for mp in mps or ()) or "none"
+def format_multipartition(mp: Multipartition, part_text=format_part) -> str:
+    """The label as `[(2),()]`, each part written by `part_text`."""
+    return "[" + ",".join(map(part_text, mp)) + "]"
+
+
+def _format_labels(mps, part_text=format_part) -> str:
+    return "|".join(format_multipartition(mp, part_text) for mp in mps or ()) or "none"
 
 
 def format_matrix(rows) -> str:
@@ -130,11 +143,21 @@ def _write_pairs(out, pairs, fmt) -> None:
         _emit_table(out, pairs)
 
 
-def _check_budget(m: int, n: int) -> None:
-    if multipartition_count(m, n, cap=LABEL_LIMIT) > LABEL_LIMIT:
+def _check_label_count(m: int, n: int) -> int:
+    labels = multipartition_count(m, n, cap=LABEL_LIMIT)
+    if labels > LABEL_LIMIT:
         raise ValueError(
             f"over-budget: m={m}, n={n} has more than {LABEL_LIMIT} labels "
             f"(m-multipartitions of n), the limit for one point"
+        )
+    return labels
+
+
+def _check_budget(m: int, n: int) -> None:
+    if _check_label_count(m, n) * m > LABEL_SIZE_LIMIT:
+        raise ValueError(
+            f"over-budget: m={m}, n={n} has more than {LABEL_SIZE_LIMIT} label "
+            f"components (labels times m), the limit for one point"
         )
 
 
@@ -147,10 +170,13 @@ def _check_formula_budget(m: int, n: int) -> None:
 
 
 def _check_grid_budget(grid: oracle.SweepGrid) -> None:
-    # Each (m, n) is checked first, so every label count below is exact.
+    # Each (m, n)'s label count is checked first, so every count below is
+    # exact.  The labels' size is not charged apart: the points of one
+    # (m, n, e) grow exponentially in m (192 at m = 5, n = 1, e = 2), so the
+    # label-points bound it too.
     for m in grid.m_values:
         for n in grid.n_values:
-            _check_budget(m, n)
+            _check_label_count(m, n)
     label_points = 0
     for m, n, points in oracle.grid_point_counts(grid, GRID_LIMIT):
         label_points += points * multipartition_count(m, n, cap=LABEL_LIMIT)
@@ -225,6 +251,7 @@ def _cmd_blocks(args, out) -> int:
         ("exceptional_index", exceptional if exceptional is not None else "none"),
     ]
     _write_pairs(out, head, args.format)
+    part_text = functools.cache(format_part)  # each part's text once per call
     if args.format == "machine":
         for idx, block in enumerate(partition.blocks):
             _emit(
@@ -232,12 +259,12 @@ def _cmd_blocks(args, out) -> int:
                 [
                     ("block", idx),
                     ("size", len(block)),
-                    ("members", _format_labels(block)),
+                    ("members", _format_labels(block, part_text)),
                 ],
             )
     else:
         for idx, block in enumerate(partition.blocks):
-            members = " ".join(format_multipartition(mp) for mp in block)
+            members = " ".join(format_multipartition(mp, part_text) for mp in block)
             out.write(f"  block {idx} (size {len(block)}): {members}\n")
     return 0
 

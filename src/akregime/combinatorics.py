@@ -48,12 +48,20 @@ def _partitions_bounded(n: int, max_part: int) -> Iterator[Partition]:
 
 def _compositions_desc(n: int, m: int) -> Iterator[tuple[int, ...]]:
     # Compositions of n into m nonnegative parts, lexicographically descending.
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions_desc(n - first, m - 1):
-            yield (first,) + rest
+    # The next one takes 1 from the last nonzero part i before the end and
+    # puts it, with the last part's whole size, on part i + 1.
+    sizes = [n] + [0] * (m - 1)
+    while True:
+        yield tuple(sizes)
+        i = m - 2
+        while i >= 0 and not sizes[i]:
+            i -= 1
+        if i < 0:
+            return
+        last = sizes[-1]
+        sizes[-1] = 0
+        sizes[i] -= 1
+        sizes[i + 1] = last + 1
 
 
 @cache

@@ -11,6 +11,7 @@ collapse to 0).  Rational kappa input pins every parameter to a root of
 unity, so schemes built from kappa always have e >= 1.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -109,11 +110,17 @@ def relation_exponents(scheme: ParamScheme, i: int, j: int, bound: int) -> froze
 
 def relations(scheme: ParamScheme, bound: int) -> list[tuple[int, int, int]]:
     """Every (i, j, c) with i < j, |c| < bound and u_j = q^c u_i, in
-    (i, j, c) order."""
+    (i, j, c) order.
+
+    Components of different classes never relate, so each i is paired only
+    with the later components of its own class group."""
+    groups: dict[int, list[int]] = {}
+    for i, cls in enumerate(scheme.classes, start=1):
+        groups.setdefault(cls, []).append(i)
     return [
         (i, j, c)
-        for i in range(1, scheme.m + 1)
-        for j in range(i + 1, scheme.m + 1)
+        for i, cls in enumerate(scheme.classes, start=1)
+        for j in groups[cls][bisect_right(groups[cls], i):]
         for c in sorted(relation_exponents(scheme, j, i, bound))
     ]
 

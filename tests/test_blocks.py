@@ -1,7 +1,9 @@
+import io
 import random
 
 import pytest
 
+from akregime import cli
 from akregime.blocks import (
     BadWitnessError,
     QOneBlocksError,
@@ -178,3 +180,31 @@ def test_block_partition_groups_the_enumeration_by_content(labelled_contents):
         for mp, residues in labelled:
             groups.setdefault(residues, []).append(mp)
         assert block_partition(scheme, n).blocks == tuple(map(tuple, groups.values())), scheme
+
+
+def test_blocks_text_is_the_per_label_text(labelled_contents):
+    # The blocks verb writes each part's text once per call; the reference
+    # writes every label from scratch with the unshared formatter.
+    for scheme, n, _ in labelled_contents:
+        partition = block_partition(scheme, n)
+        exceptional = partition.exceptional_index
+        head = (
+            f"m={scheme.m}", f"n={n}", f"block_count={len(partition.blocks)}",
+            f"exceptional_index={'none' if exceptional is None else exceptional}",
+        )
+        labels = [[cli.format_multipartition(mp) for mp in block] for block in partition.blocks]
+        expected = {
+            "machine": "\t".join(head) + "\n" + "".join(
+                f"block={idx}\tsize={len(block)}\tmembers={'|'.join(block)}\n"
+                for idx, block in enumerate(labels)
+            ),
+            "table": "".join(f"{pair.replace('=', ': ')}\n" for pair in head) + "".join(
+                f"  block {idx} (size {len(block)}): {' '.join(block)}\n"
+                for idx, block in enumerate(labels)
+            ),
+        }
+        point = ["--m", str(scheme.m), "--n", str(n), "--scheme", scheme.describe()]
+        for fmt, text in expected.items():
+            out = io.StringIO()
+            assert cli.run(["blocks", *point, "--format", fmt], out) == 0
+            assert out.getvalue() == text, (scheme, n, fmt)

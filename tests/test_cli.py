@@ -376,6 +376,44 @@ def test_label_limit_admits_m3_n20():
         cli._check_budget(3, 21)
 
 
+def _scheme_text(classes, shifts):
+    return "e=0;class={};shift={}".format(",".join(map(str, classes)), ",".join(map(str, shifts)))
+
+
+@pytest.mark.parametrize("verb", ["count-simples", "blocks", "block-structure", "audit"])
+def test_label_size_over_budget_exits_1_before_enumerating(verb, capsys, monkeypatch):
+    # 321,200 labels, under LABEL_LIMIT, of 800 components each: 256,960,000
+    # in all.  m = 3, n = 20 (1,024,947) and m = 1000, n = 1 (1,000,000) are
+    # admitted, by the tests beside this one.
+    _refuse_enumeration(monkeypatch)
+    scheme = _scheme_text([0] * 800, range(800))
+    started = time.perf_counter()
+    status, out = invoke(verb, "--m", "800", "--n", "2", "--scheme", scheme, "--format", "machine")
+    assert time.perf_counter() - started < 0.5
+    assert (status, out) == (1, "")
+    err = capsys.readouterr().err
+    assert "error: over-budget: m=800, n=2 has more than 1050000 label components" in err
+
+
+@pytest.mark.parametrize(
+    "verb, line",
+    [
+        ("count-simples", "m=1000\tn=1\te=0\tsimple_count=999\tirrep_count=1000\tnon_simple=[(1)"),
+        ("blocks", "m=1000\tn=1\tblock_count=999\texceptional_index=0\n"),
+        ("audit", "total=1000\texpected=1000\tmatch=true\n"),
+    ],
+    ids=["count-simples", "blocks", "audit"],
+)
+def test_a_thousand_components_enumerate_without_recursion(verb, line):
+    # m = 1000, n = 1 is a regime point (u_1 = u_2) of 1000 labels; the
+    # compositions of n into m parts are listed in a loop, not by one
+    # recursive call per component.
+    scheme = _scheme_text([0] * 1000, [0, *range(999)])
+    status, out = invoke(verb, "--m", "1000", "--n", "1", "--scheme", scheme, "--format", "machine")
+    assert status == 0
+    assert out.startswith(line)
+
+
 def test_bn_algebra_over_limit_exits_1_before_building(capsys, monkeypatch):
     # The limit is n = 50; n = 51 must be refused without building B(51).
     built = []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -5,6 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from akregime import params
 from akregime.combinatorics import Node
 from akregime.params import (
     KappaInput,
@@ -16,6 +18,7 @@ from akregime.params import (
     parse_kappa,
     parse_scheme,
     relation_exponents,
+    relations,
     residue_of,
     scheme_from_kappa,
 )
@@ -122,6 +125,46 @@ def test_relation_exponents_match_window_scan(e):
             window = range(-bound + 1, bound)
             scan = {c for c in window if (c - diff) % e == 0} if e else {diff} & set(window)
             assert relation_exponents(scheme, 1, 2, bound) == scan, (e, a, b, bound)
+
+
+def test_relations_equal_the_all_pairs_scan():
+    # relations() pairs each component only with the later ones of its
+    # class group; the scan over every pair i < j must find the same
+    # (i, j, c), in the same order.
+    rng = random.Random(25)
+    for _ in range(2000):
+        m = rng.randint(1, 7)
+        scheme = ParamScheme(
+            m=m,
+            e=rng.choice([0, 1, 2, 3, 5, 8]),
+            classes=tuple(rng.randint(0, 2) for _ in range(m)),
+            shifts=tuple(rng.randint(-6, 6) for _ in range(m)),
+        )
+        bound = rng.randint(0, 6)
+        scan = [
+            (i, j, c)
+            for i in range(1, m + 1)
+            for j in range(i + 1, m + 1)
+            for c in sorted(relation_exponents(scheme, j, i, bound))
+        ]
+        assert relations(scheme, bound) == scan, (scheme, bound)
+
+
+def test_relations_scan_only_class_groups(monkeypatch):
+    # The regime point m = 1413, n = 1 with classes 0, 0, 1, ..., 1411: one
+    # pair shares a class, so the scan is linear in m, not quadratic.
+    m = 1413
+    scheme = ParamScheme(m=m, e=0, classes=(0, 0, *range(1, m - 1)), shifts=(0,) * m)
+    calls = []
+    exponents = params.relation_exponents
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return exponents(*args)
+
+    monkeypatch.setattr(params, "relation_exponents", counted)
+    assert relations(scheme, 1) == [(1, 2, 0)]
+    assert len(calls) <= m
 
 
 def test_shifts_reduced_mod_e():
