@@ -254,14 +254,8 @@ def _cmd_blocks(args, out) -> int:
     part_text = functools.cache(format_part)  # each part's text once per call
     if args.format == "machine":
         for idx, block in enumerate(partition.blocks):
-            _emit(
-                out,
-                [
-                    ("block", idx),
-                    ("size", len(block)),
-                    ("members", _format_labels(block, part_text)),
-                ],
-            )
+            members = _format_labels(block, part_text)
+            out.write(f"block={idx}\tsize={len(block)}\tmembers={members}\n")
     else:
         for idx, block in enumerate(partition.blocks):
             members = " ".join(format_multipartition(mp, part_text) for mp in block)
