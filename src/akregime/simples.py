@@ -144,7 +144,8 @@ def _group_series(e: int, offsets: tuple[int, ...], n: int) -> tuple[int, ...]:
         for start in range(e) if k else near:
             value = k * level
             for length in range(1, (min(e - 1, n - k * e) if e else n) + 1):
-                value += weight[wrap(start + length - 1)]
+                # .get: a Counter's [] calls a Python __missing__ on a miss.
+                value += weight.get(wrap(start + length - 1), 0)
                 root(k * e + length, value)
         if k:
             root(k * e, k * level, e - 1)
