@@ -58,9 +58,9 @@ from .structure import InconsistentRegimeError
 # The most labels one (m, n) may have for count-simples, blocks,
 # block-structure and audit: m = 3, n = 20 has 341,649, and its
 # count-simples, which lists them, took about 1 s with 55 MB peak RSS on a
-# 2-vCPU Xeon, and blocks, which keys them by content, 2.6-2.9 s with
-# 126 MB (block-structure and audit list none and took 0.2-0.3 s); all
-# process included.  m = 3, n = 21 has 521,196.
+# 2-vCPU Xeon, and blocks, which keys and prints each part once per call,
+# 1.6-2.4 s with 126 MB (block-structure and audit list none and took
+# 0.2-0.3 s); all process included.  m = 3, n = 21 has 521,196.
 LABEL_LIMIT = 350_000
 
 # The most components that one (m, n)'s labels may hold in all, labels
@@ -72,12 +72,15 @@ LABEL_SIZE_LIMIT = 3 * LABEL_LIMIT
 # The most that classify's formula may cost, in units of (m + 1) n^2 + m^2:
 # the roots of the m shifts' series up to height n (m n^2), the
 # generating-function series of n^2 big-integer terms each, and the m^2
-# pairs of the relation scan at a regime point.  m = 3, n = 30 costs 3,609
-# and took 1-4 ms in process on a 2-vCPU Xeon.  Near the limit, the
-# slowest schemes tried took 0.58 s in process at m = 1, n = 999, 0.60 s
-# at m = 10, n = 426, 0.65 s at m = 100, n = 140 (0.72 s, process
-# included), 0.42 s at m = 1000, n = 31 and 0.60 s at the regime point
-# m = 1413, n = 1; m = 1, n = 1414 (cost 4.0e6) took 1.5 s.
+# pairs of the relation scan at a regime point whose components share one
+# class (the scan pairs only components of one class).  m = 3, n = 30
+# costs 3,609 and took 1-4 ms in process on a 2-vCPU Xeon.  Near the
+# limit, the slowest schemes tried took 0.28-0.35 s in process at m = 1,
+# n = 999, 0.60 s at m = 10, n = 426, 0.65 s at m = 100, n = 140 (0.72 s,
+# process included), 0.42 s at m = 1000, n = 31 and 0.5-0.8 s at the
+# regime point m = 1413, n = 1 with one class (shifts 0, 0, 1, ..., 1411);
+# with classes 0, 0, 1, ..., 1411 instead it took 6-10 ms.  m = 1,
+# n = 1414 (cost 4.0e6) took 1.5 s.
 CLASSIFY_LIMIT = 2_000_000
 
 # The most label-points (each grid point's label count, summed over the
