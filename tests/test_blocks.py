@@ -184,7 +184,7 @@ def test_block_partition_groups_the_enumeration_by_content(labelled_contents):
 
 def test_blocks_text_is_the_per_label_text(labelled_contents):
     # The blocks verb writes each part's text once per call; the reference
-    # writes every label from scratch with the unshared formatter.
+    # writes every label anew with the unshared formatter.
     for scheme, n, _ in labelled_contents:
         partition = block_partition(scheme, n)
         exceptional = partition.exceptional_index
