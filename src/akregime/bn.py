@@ -102,34 +102,6 @@ def build_bn(n: int) -> BasicAlgebra:
     )
 
 
-def multiply(algebra: BasicAlgebra, left: Combination, right: Combination) -> Combination:
-    """Product of two integer combinations of basis elements."""
-    acc: dict[int, int] = {}
-    for a, ca in left:
-        for b, cb in right:
-            for idx, coeff in algebra.product(a, b):
-                acc[idx] = acc.get(idx, 0) + ca * cb * coeff
-    return tuple(sorted((idx, coeff) for idx, coeff in acc.items() if coeff))
-
-
-def associativity_violations(algebra: BasicAlgebra) -> list[tuple[int, int, int]]:
-    """All basis triples with (a*b)*c != a*(b*c); empty means associative.
-
-    Nothing in the package calls this: it stays as the independent route of
-    a tier-1 check (regular_representation_consistent is compared with it)."""
-    dim = algebra.dimension
-    bad = []
-    for a in range(dim):
-        for b in range(dim):
-            ab = algebra.product(a, b)
-            for c in range(dim):
-                left = multiply(algebra, ab, ((c, 1),))
-                right = multiply(algebra, ((a, 1),), algebra.product(b, c))
-                if left != right:
-                    bad.append((a, b, c))
-    return bad
-
-
 def regular_representation(algebra: BasicAlgebra) -> list[list[tuple[int, int, int]]]:
     """Left multiplication by each basis element, as the entries of its matrix.
 

@@ -129,21 +129,12 @@ def _format_witness(witness) -> str:
     return f"({i},{j},{c:+d})"
 
 
-def _emit(out, pairs) -> None:
-    out.write("\t".join(f"{k}={v}" for k, v in pairs) + "\n")
-
-
-def _emit_table(out, pairs) -> None:
-    for k, v in pairs:
-        out.write(f"{k}: {v}\n")
-
-
 def _write_pairs(out, pairs, fmt) -> None:
     """One record: a tab-separated line in machine format, else table lines."""
     if fmt == "machine":
-        _emit(out, pairs)
+        out.write("\t".join(f"{k}={v}" for k, v in pairs) + "\n")
     else:
-        _emit_table(out, pairs)
+        out.writelines(f"{k}: {v}\n" for k, v in pairs)
 
 
 def _check_label_count(m: int, n: int) -> int:
@@ -288,11 +279,8 @@ def _cmd_block_structure(args, out) -> int:
         ("pkz_multiplicities", ",".join(str(x) for x in bs.pkz_multiplicities)),
         ("exterior_dims", ",".join(str(x) for x in bs.exterior_dims)),
     ]
-    if args.format == "machine":
-        for pair in pairs:
-            _emit(out, [pair])
-    else:
-        _emit_table(out, pairs)
+    for pair in pairs:
+        _write_pairs(out, [pair], args.format)
     return 0
 
 
@@ -320,19 +308,17 @@ def _cmd_sweep(args, out) -> int:
     summary = oracle.locus_summary(rows)
     if args.format == "machine":
         for row in rows:
-            _emit(
-                out,
-                [
-                    ("m", row.m),
-                    ("n", row.n),
-                    ("scheme", row.scheme.describe()),
-                    ("kind", row.fast_kind),
-                    ("oracle_kind", row.oracle_kind),
-                    ("agree", str(row.agree).lower()),
-                    ("predicted_regime", str(row.predicted_regime).lower()),
-                    ("predicted_match", str(row.predicted_match).lower()),
-                ],
-            )
+            record = [
+                ("m", row.m),
+                ("n", row.n),
+                ("scheme", row.scheme.describe()),
+                ("kind", row.fast_kind),
+                ("oracle_kind", row.oracle_kind),
+                ("agree", str(row.agree).lower()),
+                ("predicted_regime", str(row.predicted_regime).lower()),
+                ("predicted_match", str(row.predicted_match).lower()),
+            ]
+            _write_pairs(out, record, "machine")
     _write_pairs(out, sorted(summary.items()), args.format)
     failures = summary["disagreements"] + summary["prediction_mismatches"]
     return 2 if failures else 0

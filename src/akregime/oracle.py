@@ -7,11 +7,10 @@ top-to-bottom pass over each component, and the normal and good nodes are
 then read off that grouping by the definition.
 The Kleshchev search tree is walked in full for every label it reads (no
 verdict is memoized); only each label's good-node children are computed
-once per scheme.  `oracle_simple_count` reads every label.  `oracle_kind`
-stops at the second non-Kleshchev label (`verdict_kind`): the kind only
-tells 0, 1 or at least 2 misses apart, and a second miss already rules out
-the N - 1 simples of the almost-semisimple regime, whatever the later
-labels are.  None of the verifier half calls into the kernel, simples or
+once per scheme.  `oracle_kind` stops at the second non-Kleshchev label
+(`verdict_kind`): the kind only tells 0, 1 or at least 2 misses apart, and
+a second miss already rules out the N - 1 simples of the almost-semisimple
+regime, whatever the later labels are.  None of the verifier half calls into the kernel, simples or
 blocks, so agreement between it and the fast path is a genuine two-route
 check.  Only the multipartition enumeration is shared plumbing (it has its
 own generating-function cross-check in the test suite).
@@ -62,27 +61,14 @@ does `structure.classify_regime`:
 
 So `regime_locus` runs the three routes once per residue pattern of the
 grid, and only the parameter-side predictor at every point.
-
-The six content lemmas that pin down the exceptional block are exposed
-under descriptive names:
-
-    no-extra-relations          only the witness pair is q-power related
-    contents-disjoint           component contents never meet
-    content-determines-part     a component is recovered from its content
-    outside-content-transfers   contents away from the witness pair match
-    row-column-gap              u_i q^(a1) misses short family candidates
-    witness-content-transfers   contents at the witness component match
-
-Their table reads `params.part_content`, as `blocks` does; the verifier
-half above reads no fast module.
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, product
 
 from . import simples, structure
 from .combinatorics import Multipartition, enumerate_multipartitions
-from .params import ParamScheme, m1_regime_order, part_content, regime_relation, relations
+from .params import ParamScheme, m1_regime_order, regime_relation
 from .structure import ALMOST_SEMISIMPLE, OTHER, SEMISIMPLE
 
 
@@ -211,10 +197,6 @@ def _label_verdicts(scheme: ParamScheme, n: int):
     return (oracle_kleshchev(scheme, mp, children) for mp in mps)
 
 
-def oracle_simple_count(scheme: ParamScheme, n: int) -> int:
-    return sum(_label_verdicts(scheme, n))
-
-
 def verdict_kind(verdicts) -> tuple[str, int]:
     """The kind of a stream of per-label verdicts (True for a simple
     module), read in order, and how many verdicts were read.
@@ -244,115 +226,6 @@ def oracle_kind(scheme: ParamScheme, n: int, *, reach: list | None = None) -> st
     if reach is not None:
         reach.append(read)
     return kind
-
-
-# ---------------------------------------------------------------------------
-# Content lemma suite.
-
-@dataclass(frozen=True)
-class LemmaReport:
-    name: str
-    counterexample: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.counterexample is None
-
-
-def _witness_pair(scheme: ParamScheme, n: int) -> tuple[int, int]:
-    """The pair (i, j) with u_j = q^(n-1) u_i, from the first relation with
-    |c| = n - 1."""
-    for relation in relations(scheme, n):
-        if abs(relation[2]) == n - 1:
-            return structure.family_orientation(relation)
-    raise ValueError("no witness relation u_j = q^(n-1) u_i in the scheme")
-
-
-def verify_lemmas(scheme: ParamScheme, n: int) -> dict[str, LemmaReport]:
-    """Exhaustively instantiate the six content lemmas over all
-    multipartitions (and pairs) of n.  Each lemma is a search for
-    counterexamples, and its report carries the first one found, or none
-    when the lemma holds.  Hypotheses assume the almost-semisimple standing
-    assumption."""
-    i, j = _witness_pair(scheme, n)
-    mps = enumerate_multipartitions(scheme.m, n)
-    components = range(1, scheme.m + 1)
-    # The content table: each part's content in each component, and each
-    # label's row of component contents.
-    parts = sorted({part for mp in mps for part in mp})
-    content = {(k, part): part_content(scheme, k, part) for k in components for part in parts}
-    rows = {alpha: [content[k, part] for k, part in enumerate(alpha, 1)] for alpha in mps}
-    # Ordered pairs of distinct labels with equal full content.
-    groups: dict[tuple, list[Multipartition]] = {}
-    for alpha, row in rows.items():
-        groups.setdefault(tuple(sorted(chain.from_iterable(row))), []).append(alpha)
-    pairs = [(a, b) for group in groups.values() for a in group for b in group if a != b]
-
-    def missing(alpha, beta, k):
-        # Residues of alpha's component k that beta's component k lacks.
-        present = set(content[k, beta[k - 1]])
-        return (x for x in content[k, alpha[k - 1]] if x not in present)
-
-    def row_and_column(alpha):
-        # a1, the first row of component i, and a2, the rows of component j.
-        return (alpha[i - 1][0] if alpha[i - 1] else 0), len(alpha[j - 1])
-
-    def no_extra_relations():
-        # k outside the witness pair is never q-power related.
-        for a, b, c in relations(scheme, n):
-            if a not in (i, j) or b not in (i, j):
-                yield f"u_{b} = q^{c} u_{a}"
-
-    def contents_disjoint():
-        # The component contents of one multipartition never meet.
-        for alpha, row in rows.items():
-            for r, s in combinations(range(scheme.m), 2):
-                common = set(row[r]) & set(row[s])
-                if common:
-                    yield f"alpha={alpha} components {r + 1},{s + 1} share {tuple(min(common))}"
-
-    def content_determines_part():
-        # Within one component slot, content is injective.
-        for k in components:
-            by_content: dict[tuple, list[tuple[int, ...]]] = {}
-            for part in parts:
-                by_content.setdefault(content[k, part], []).append(part)
-            for same in by_content.values():
-                if len(same) > 1:
-                    yield f"component {k}: {same[0]} vs {same[1]}"
-
-    def outside_content_transfers():
-        # Contents of components outside the witness pair match across a block.
-        for alpha, beta in pairs:
-            for k in components:
-                if k not in (i, j):
-                    for x in missing(alpha, beta, k):
-                        yield f"alpha={alpha} beta={beta} k={k} x={tuple(x)}"
-
-    def row_column_gap():
-        # If a1 + a2 < n then u_i q^(a1) misses cont(alpha).
-        for alpha, row in rows.items():
-            a1, a2 = row_and_column(alpha)
-            target = _residue(scheme, i, 1, a1 + 1)  # u_i q^(a1)
-            if a1 + a2 < n and any(target in residues for residues in row):
-                yield f"alpha={alpha} a1={a1} a2={a2}"
-
-    def witness_content_transfers():
-        # Contents at component i match across a block when a1 + a2 < n.
-        for alpha, beta in pairs:
-            if sum(row_and_column(alpha)) < n:
-                for x in missing(alpha, beta, i):
-                    yield f"alpha={alpha} beta={beta} x={tuple(x)}"
-
-    searches = {
-        "no-extra-relations": no_extra_relations(),
-        "contents-disjoint": contents_disjoint(),
-        "content-determines-part": content_determines_part(),
-        "outside-content-transfers": outside_content_transfers(),
-        "row-column-gap": row_column_gap(),
-        "witness-content-transfers": witness_content_transfers(),
-    }
-    return {name: LemmaReport(name, next(search, None)) for name, search in searches.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +372,17 @@ def _kernel_kind(scheme: ParamScheme, n: int, reach: int) -> str:
     """The kind of the kernel's verdicts on every label, deciding first only
     the first `reach` labels in canonical order (the oracle's reach).
 
-    Two misses there decide OTHER, and a prefix of all the labels decides
-    the kind exactly.  Otherwise the rest are decided in a second call and
-    the kind is read off both calls' verdicts in order, so it is always
-    the kind of the full verdict list and no label is decided twice."""
+    Both calls' verdicts are read in order as one lazy stream, so the
+    second call, on the rest, is made only when `verdict_kind` reads past
+    the prefix without a second miss.  The kind is always that of the full
+    verdict list, and no label is decided twice."""
     labels = enumerate_multipartitions(scheme.m, n)
-    verdicts = simples.simple_verdicts(scheme, labels[:reach])
-    kind, _ = verdict_kind(verdicts)
-    if kind != OTHER and reach < len(labels):
-        rest = simples.simple_verdicts(scheme, labels[reach:])
-        kind, _ = verdict_kind(chain(verdicts, rest))
-    return kind
+    calls = (
+        simples.simple_verdicts(scheme, part)
+        for part in (labels[:reach], labels[reach:])
+        if part
+    )
+    return verdict_kind(chain.from_iterable(calls))[0]
 
 
 def regime_locus(grid: SweepGrid) -> list[GridPointResult]:

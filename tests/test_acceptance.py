@@ -11,14 +11,9 @@ from math import comb, factorial
 import pytest
 
 from akregime.blocks import block_partition, lambda_family
-from akregime.bn import (
-    associativity_violations,
-    build_bn,
-    multiply,
-    regular_representation_consistent,
-)
+from akregime.bn import build_bn, regular_representation_consistent
 from akregime.combinatorics import dim_irrep, enumerate_multipartitions
-from akregime.oracle import ALMOST_SEMISIMPLE, SEMISIMPLE, locus_summary, verify_lemmas
+from akregime.oracle import ALMOST_SEMISIMPLE, SEMISIMPLE, locus_summary
 from akregime.params import KappaInput, ParamScheme, derive_r, scheme_from_kappa
 from akregime.simples import ariki_semisimple
 from akregime.structure import (
@@ -28,6 +23,8 @@ from akregime.structure import (
     kz_dimensions,
     family_orientation,
 )
+
+from references import associativity_violations, multiply, verify_lemmas
 
 DEFAULT_SWEEP_SUMMARY = {
     "points": 4151,

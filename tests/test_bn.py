@@ -4,14 +4,10 @@ import random
 
 import pytest
 
-from akregime.bn import (
-    associativity_violations,
-    build_bn,
-    multiply,
-    regular_representation,
-    regular_representation_consistent,
-)
+from akregime.bn import build_bn, regular_representation, regular_representation_consistent
 from akregime.cli import run
+
+from references import associativity_violations, multiply
 
 
 def label_index(algebra):

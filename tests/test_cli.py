@@ -491,6 +491,60 @@ def test_table_format_runs():
     assert "kind: almost_semisimple" in text
 
 
+README_M2 = ("--m", "2", "--n", "2", "--scheme", "e=0;class=0,0;shift=0,1")
+README_M3 = ("--m", "3", "--n", "3", "--scheme", "e=0;class=0,1,1;shift=0,2,0")
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (
+            ("count-simples",) + README_M2,
+            "m: 2\nn: 2\ne: 0\nsimple_count: 4\nirrep_count: 5\nnon_simple: [(2),()]\n",
+        ),
+        (
+            ("classify",) + README_M2,
+            "kind: almost_semisimple\nsimple_count: 4\nirrep_count: 5\n"
+            "witness: (1,2,+1)\nnon_kleshchev: [(2),()]\n",
+        ),
+        (
+            ("classify", "--kappa", "m=1;n=2;kappa00=1/2"),
+            "kind: almost_semisimple\nsimple_count: 1\nirrep_count: 2\n"
+            "witness: none\nnon_kleshchev: [(2)]\nr: 1\ndim_L_chi: 1\n",
+        ),
+        (
+            ("block-structure",) + README_M2,
+            "n: 2\n"
+            "specht_order: [(),(1,1)]|[(1),(1)]|[(2),()]\n"
+            "simple_order: [(),(1,1)]|[(1),(1)]\n"
+            "decomposition: 1,0;1,1;0,1\n"
+            "cartan: 2,1;1,2\n"
+            "hom_dims: 2,1;1,2\n"
+            "kz_dims: 1,1\n"
+            "pkz_multiplicities: 1,1\n"
+            "exterior_dims: 1,2,1\n",
+        ),
+        (("audit",) + README_M3, "total: 162\nexpected: 162\nmatch: true\n"),
+        (
+            ("bn-algebra", "--n", "2"),
+            "n: 2\ndim: 6\nassociativity: pass\nbasis=e_1,e_2,xi_1,xi_2,f_1_2,f_2_1\n",
+        ),
+        (
+            ("sweep", "--grid", "m=1,2;n=2,3"),
+            "disagreements: 0\npoints: 136\nprediction_mismatches: 0\nregime_points: 19\n",
+        ),
+    ],
+    ids=["count-simples", "classify", "classify-kappa", "block-structure", "audit", "bn-algebra", "sweep"],
+)
+def test_table_format_golden(argv, head):
+    # Table records are `key: value` lines; only bn-algebra's product table
+    # follows its header record.
+    status, text = invoke(*argv, "--format", "table")
+    assert status == 0
+    assert text.startswith(head)
+    assert text == head or argv[0] == "bn-algebra"
+
+
 GOOD_CLASSIFY = (
     "classify", "--m", "2", "--n", "2",
     "--scheme", "e=0;class=0,0;shift=0,1", "--format", "machine",
@@ -594,13 +648,13 @@ def _shows(shown, lines):
     return bool(lines) and lines[0] == shown[0] and _shows(shown[1:], lines[1:])
 
 
-def readme_machine_examples():
-    """(command, lines shown) for each `$ akregime ... --format machine`
+def readme_examples(fmt):
+    """(command, lines shown) for each `$ akregime ... --format <fmt>`
     example in the README."""
     lines = README.read_text().splitlines()
     examples = []
     for pos, line in enumerate(lines):
-        if line.startswith("$ akregime ") and "--format machine" in line:
+        if line.startswith("$ akregime ") and f"--format {fmt}" in line:
             shown = []
             for follow in lines[pos + 1 :]:
                 if not follow or follow.startswith(("$", "```")):
@@ -610,9 +664,11 @@ def readme_machine_examples():
     return examples
 
 
-def test_readme_machine_examples_match_output():
+def _readme_examples_verbs(fmt):
+    """Run each README example of `fmt` through `cli.run`, require the
+    lines shown, and return the verbs run."""
     verbs = set()
-    for command, shown in readme_machine_examples():
+    for command, shown in readme_examples(fmt):
         command, _, pipe = command.partition(" | ")
         argv = shlex.split(command)[1:]
         status, text = invoke(*argv)
@@ -623,4 +679,13 @@ def test_readme_machine_examples_match_output():
             lines = lines[: int(pipe.removeprefix("head -"))]
         assert _shows(shown, lines), command
         verbs.add(argv[0])
+    return verbs
+
+
+def test_readme_machine_examples_match_output():
+    verbs = _readme_examples_verbs("machine")
     assert verbs == {"classify", "blocks", "block-structure", "bn-algebra", "audit"}
+
+
+def test_readme_table_examples_match_output():
+    assert _readme_examples_verbs("table") == {"sweep"}

@@ -27,13 +27,13 @@ from akregime.oracle import (
     oracle_good_node,
     oracle_kind,
     oracle_kleshchev,
-    oracle_simple_count,
     regime_locus,
-    verify_lemmas,
 )
 from akregime.params import ParamScheme, parse_scheme, regime_relation, relation_exponents
 from akregime.simples import good_node, is_kleshchev, simple_count
 from akregime.structure import InconsistentRegimeError, classify_regime
+
+from references import oracle_simple_count, verify_lemmas
 
 REGIME_M2 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1))
 REGIME_M3 = ParamScheme(m=3, e=0, classes=(0, 1, 1), shifts=(0, 2, 0))
