@@ -648,44 +648,37 @@ def _shows(shown, lines):
     return bool(lines) and lines[0] == shown[0] and _shows(shown[1:], lines[1:])
 
 
-def readme_examples(fmt):
-    """(command, lines shown) for each `$ akregime ... --format <fmt>`
-    example in the README."""
+def _run_readme_examples(fmt):
+    """Run each `$ akregime ... --format <fmt>` example of the README
+    through `cli.run`, require the lines it shows, and return the verbs
+    run."""
     lines = README.read_text().splitlines()
-    examples = []
-    for pos, line in enumerate(lines):
-        if line.startswith("$ akregime ") and f"--format {fmt}" in line:
-            shown = []
-            for follow in lines[pos + 1 :]:
-                if not follow or follow.startswith(("$", "```")):
-                    break
-                shown.append(follow)
-            examples.append((line[2:], shown))
-    return examples
-
-
-def _readme_examples_verbs(fmt):
-    """Run each README example of `fmt` through `cli.run`, require the
-    lines shown, and return the verbs run."""
     verbs = set()
-    for command, shown in readme_examples(fmt):
-        command, _, pipe = command.partition(" | ")
+    for pos, line in enumerate(lines):
+        if not (line.startswith("$ akregime ") and f"--format {fmt}" in line):
+            continue
+        shown = []
+        for follow in lines[pos + 1 :]:
+            if not follow or follow.startswith(("$", "```")):
+                break
+            shown.append(follow)
+        command, _, pipe = line[2:].partition(" | ")
         argv = shlex.split(command)[1:]
         status, text = invoke(*argv)
         assert status == 0, command
-        lines = text.splitlines()
+        output = text.splitlines()
         if pipe:
             assert pipe.startswith("head -"), pipe
-            lines = lines[: int(pipe.removeprefix("head -"))]
-        assert _shows(shown, lines), command
+            output = output[: int(pipe.removeprefix("head -"))]
+        assert _shows(shown, output), command
         verbs.add(argv[0])
     return verbs
 
 
 def test_readme_machine_examples_match_output():
-    verbs = _readme_examples_verbs("machine")
+    verbs = _run_readme_examples("machine")
     assert verbs == {"classify", "blocks", "block-structure", "bn-algebra", "audit"}
 
 
 def test_readme_table_examples_match_output():
-    assert _readme_examples_verbs("table") == {"sweep"}
+    assert _run_readme_examples("table") == {"sweep"}
