@@ -2,7 +2,10 @@
 `good_node(e, classes, shifts, mp, residue)` on raw data.  Both split a
 multipartition into the sub-multipartitions of its class groups (the
 components that share a class label), whose residues never meet, and work
-on each group apart.  `BACKEND` names the implementation that runs."""
+on each group apart.  The bulk call makes one pass per group over the
+labels still Kleshchev, deciding a one-component group's distinct parts
+once each by the level-one rule.  `BACKEND` names the implementation that
+runs."""
 
 from . import pykernel
 

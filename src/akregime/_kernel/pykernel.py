@@ -33,14 +33,22 @@ partitions are the e-restricted ones, every part gap (the last row's
 included) below e, and at e = 0 every partition (Ariki-Mathas, Math. Z.
 233 (2000)).  The shift only relabels the residues, so it plays no part.
 `kleshchev_verdicts` decides such groups by this rule, in time linear in
-the rows, and a witness path replayed through single-label calls costs
-one rule check per step.
+the rows and once per distinct part in a bulk call, and a witness path
+replayed through single-label calls costs one rule check per step.
 
 Groups of two or more components take the good-node descent, `_verdict`.
 Each step records every good child's verdict in the group's memo and goes
 on through the lowest good node (largest component, then row; see
 `_verdict`), so a bulk call makes about one walk per sub-multipartition.
+
+A bulk call makes one pass per class group, in first-seen order, over the
+labels that the earlier groups found Kleshchev: a label's later groups
+are never decided once one group fails, and each group's memo meets the
+sub-labels in the order that deciding the labels one at a time, group
+after group, would meet them, so the walks are the same ones.
 """
+
+from itertools import compress
 
 
 def _groups(classes):
@@ -142,21 +150,35 @@ def _restricted(e, part):
 
 def kleshchev_verdicts(e, classes, shifts, mps):
     """Kleshchev verdict for each multipartition: the AND of its class
-    groups' verdicts.  A group of one component reads the level-one rule;
-    a larger group descends, sharing one memo table confined to this call,
-    so concurrent callers never share state.  Requires e != 1."""
-
-    def decider(group):
+    groups' verdicts, one pass per group over the labels still Kleshchev.
+    A group of one component reads the level-one rule once per distinct
+    part; a larger group descends on a memo miss, in one memo table
+    confined to this call, so concurrent callers never share state.
+    Requires e != 1."""
+    verdicts = [True] * len(mps)
+    for group in _groups(classes).values():
+        # The labels still Kleshchev; `compress` reads each flag just
+        # before its label is decided.
+        alive = compress(range(len(mps)), verdicts)
         if len(group) == 1:
+            if not e:
+                continue  # every partition is Kleshchev at level one
             (k,) = group
-            return lambda mp: _restricted(e, mp[k])
-        group_shifts = tuple(shifts[k] for k in group)
-        memo = {((),) * len(group): True}
-        if len(group) == len(classes):
-            return lambda mp: _verdict(e, group_shifts, mp, memo)
-        return lambda mp: _verdict(e, group_shifts, tuple(mp[k] for k in group), memo)
-
-    deciders = [decider(group) for group in _groups(classes).values()]
-    if len(deciders) == 1:
-        return list(map(deciders[0], mps))
-    return [all(decide(mp) for decide in deciders) for mp in mps]
+            decided = {}
+            for i in alive:
+                part = mps[i][k]
+                verdict = decided.get(part)
+                if verdict is None:
+                    verdict = decided[part] = _restricted(e, part)
+                verdicts[i] = verdict
+        else:
+            group_shifts = tuple(shifts[k] for k in group)
+            memo = {((),) * len(group): True}
+            whole = len(group) == len(classes)
+            for i in alive:
+                sub = mps[i] if whole else tuple(mps[i][k] for k in group)
+                verdict = memo.get(sub)
+                if verdict is None:
+                    verdict = _verdict(e, group_shifts, sub, memo)
+                verdicts[i] = verdict
+    return verdicts

@@ -109,7 +109,8 @@ def regular_representation(algebra: BasicAlgebra) -> list[list[tuple[int, int, i
     a * basis j; every other entry of mat(a) is zero."""
     entries: list[list[tuple[int, int, int]]] = [[] for _ in algebra.basis]
     for (a, j), combo in algebra.mult.items():
-        entries[a].extend((i, j, x) for i, x in combo)
+        for i, x in combo:
+            entries[a].append((i, j, x))
     return entries
 
 
@@ -117,27 +118,31 @@ def regular_representation_consistent(algebra: BasicAlgebra) -> bool:
     """Certify associativity independently: left multiplication must be an
     algebra homomorphism, mat(a) @ mat(b) == mat(a * b) for all pairs.
 
-    The entries come from `regular_representation`, and mat(a)'s are grouped
-    once more by column.  For each of the dim^2 pairs, zero products
-    included, mat(a) @ mat(b) joins the entries of mat(b) with the columns of
-    mat(a), the sum of coeff * mat(idx) over a * b is taken away, and every
-    entry of the difference must be zero."""
+    The entries come from `regular_representation`.  Those of every mat(a)
+    are grouped by column k and those of every mat(b) by row k; joining the
+    two over k adds up every mat(a) @ mat(b) at once, in one difference
+    keyed (a, b, i, j), and the sum of coeff * mat(idx) over a * b is taken
+    away for each product in `mult`.  Every entry of the difference must be
+    zero.  A pair with no joined entry and no product has a zero difference
+    by construction, so this is the statement for all dim^2 pairs, zero
+    products included, at the cost of the joined entries and the products:
+    linear in n for B(n), not dim^2 times the entries."""
     entries = regular_representation(algebra)
-    columns = []
-    for nonzero in entries:
-        by_column: dict[int, list[tuple[int, int]]] = {}
-        for i, k, x in nonzero:
-            by_column.setdefault(k, []).append((i, x))
-        columns.append(by_column)
-    for a, left in enumerate(columns):
-        for b, right in enumerate(entries):
-            difference: dict[tuple[int, int], int] = {}
-            for k, j, x in right:
-                for i, y in left.get(k, ()):
-                    difference[i, j] = difference.get((i, j), 0) + y * x
-            for idx, coeff in algebra.product(a, b):
-                for i, j, x in entries[idx]:
-                    difference[i, j] = difference.get((i, j), 0) - coeff * x
-            if any(difference.values()):
-                return False
-    return True
+    by_column: dict[int, list[tuple[int, int, int]]] = {}
+    by_row: dict[int, list[tuple[int, int, int]]] = {}
+    for a, nonzero in enumerate(entries):
+        for i, j, x in nonzero:
+            by_column.setdefault(j, []).append((a, i, x))
+            by_row.setdefault(i, []).append((a, j, x))
+    difference: dict[tuple[int, int, int, int], int] = {}
+    for k, left in by_column.items():
+        for b, j, x in by_row.get(k, ()):
+            for a, i, y in left:
+                key = a, b, i, j
+                difference[key] = difference.get(key, 0) + y * x
+    for (a, b), combo in algebra.mult.items():
+        for idx, coeff in combo:
+            for i, j, x in entries[idx]:
+                key = a, b, i, j
+                difference[key] = difference.get(key, 0) - coeff * x
+    return not any(difference.values())

@@ -15,7 +15,12 @@ The argument parser is built once per process, on the first `run`, and
 shared by every later call: parsing keeps no state in it (each call gets a
 fresh namespace, and usage errors print to the `sys.stderr` of the moment).
 Each verb takes only its own options: the point verbs --m, --n, --scheme,
---kappa; bn-algebra --n; sweep --grid; all of them --format.
+--kappa; bn-algebra --n; sweep --grid; all of them --format.  When the
+first argument names a verb, that verb's parser reads the rest in one
+parse, and arguments it leaves over are refused by the top-level parser,
+with its usage line, as a full parse refuses them; any other command line
+(no verb, an unknown one, an option first) goes through the top-level
+parser.
 
 Before any enumeration, each point verb but `classify`, and `sweep
 --grid` for each of its (m, n), counts the m-multipartitions of n by
@@ -92,10 +97,11 @@ CLASSIFY_LIMIT = 2_000_000
 GRID_LIMIT = 1_000_000
 
 # The largest n bn-algebra builds: B(n) has dimension 4n - 2 and 9n - 6
-# nonzero products, and the regular-representation check visits all
-# (4n - 2)^2 pairs of basis elements.  In process on a 2-vCPU Xeon, n = 50
-# took 0.04 s, n = 60 0.05 s and n = 100 0.09 s, each with 17 MB peak RSS,
-# which is the interpreter's own.
+# nonzero products, and the regular-representation check joins the nonzero
+# matrix entries over their shared index, in time linear in n.  In process
+# on a 2-vCPU Xeon (best of five calls), building, checking and writing
+# B(n) took about 1 ms at n = 50 and 2-3 ms at n = 100, with 17 MB peak
+# RSS, which is the interpreter's own.
 BN_LIMIT = 50
 
 
@@ -368,14 +374,17 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its `verbs` maps each verb to the verb's own
+    parser."""
     parser = _Parser(
         prog="akregime",
         description="Exact simple-module and block classification for "
         "Ariki-Koike algebras at symbolic parameters.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = {}
     for verb in _COMMANDS:
-        p = sub.add_parser(verb)
+        p = parser.verbs[verb] = sub.add_parser(verb)
         if verb == "sweep":
             p.add_argument("--grid", type=str, default=None)
         elif verb == "bn-algebra":
@@ -389,10 +398,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv, out) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """The namespace that `build_parser().parse_args(argv)` gives, with
+    one parse when argv[0] names a verb: that verb's parser reads the rest,
+    and what it leaves is refused as the top-level parser refuses it."""
     parser = build_parser()
+    verb_parser = parser.verbs.get(argv[0]) if argv else None
+    if verb_parser is None:
+        return parser.parse_args(argv)
+    args, extras = verb_parser.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.verb = argv[0]
+    return args
+
+
+def run(argv, out) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         return _COMMANDS[args.verb](args, out)
     except InconsistentRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

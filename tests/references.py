@@ -16,13 +16,22 @@
 - `multiply` and `associativity_violations`: B(n)'s products of
   combinations and its brute-force associativity check, the independent
   route that `bn.regular_representation_consistent` is compared with.
+- `kleshchev_verdicts_per_label`: the kernel's bulk verdicts decided one
+  label at a time, every class group of a label before the next label,
+  the route that the group-wise `pykernel.kleshchev_verdicts` is compared
+  with.
+- `parse_through_top_level`: the command line read by the top-level
+  parser alone, which hands the verb's arguments to the verb's parser;
+  the route that `cli._parse` is compared with.
 """
 
 from dataclasses import dataclass
 from itertools import chain, combinations
 
 from akregime import structure
+from akregime._kernel import pykernel
 from akregime.bn import BasicAlgebra, Combination
+from akregime.cli import build_parser
 from akregime.combinatorics import Multipartition, enumerate_multipartitions
 from akregime.oracle import _label_verdicts, _residue
 from akregime.params import ParamScheme, part_content, relations
@@ -167,3 +176,32 @@ def associativity_violations(algebra: BasicAlgebra) -> list[tuple[int, int, int]
                 if left != right:
                     bad.append((a, b, c))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# Kleshchev verdicts one label at a time.
+
+def kleshchev_verdicts_per_label(e, classes, shifts, mps):
+    """The AND of each label's class groups' verdicts, label by label,
+    stopping at a label's first failing group.  A group of one component
+    reads the level-one rule; a larger group descends through
+    `pykernel._verdict` (hence `pykernel._good_index`) with a memo of its
+    own for the call."""
+
+    def decider(group):
+        if len(group) == 1:
+            (k,) = group
+            return lambda mp: pykernel._restricted(e, mp[k])
+        group_shifts = tuple(shifts[k] for k in group)
+        memo = {((),) * len(group): True}
+        return lambda mp: pykernel._verdict(e, group_shifts, tuple(mp[k] for k in group), memo)
+
+    deciders = [decider(group) for group in pykernel._groups(classes).values()]
+    return [all(decide(mp) for decide in deciders) for mp in mps]
+
+
+# ---------------------------------------------------------------------------
+# The command line through the top-level parser.
+
+def parse_through_top_level(argv):
+    return build_parser().parse_args(argv)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from akregime.bn import build_bn, regular_representation, regular_representation_consistent
-from akregime.cli import run
+from akregime.cli import BN_LIMIT, run
 
 from references import associativity_violations, multiply
 
@@ -152,6 +152,36 @@ def test_regular_representation_agrees_with_associativity():
         multi_term = any(len(combo) > 1 for combo in algebra.mult.values())
         verdicts.add((associative, multi_term))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def plant(algebra, fault):
+    """B(n) with one fault planted at vertex i = n // 2 (n >= 3):
+    e_{i+1} f_{i,i+1} = 2 f_{i,i+1} ("coefficient"), e_{i+1} f_{i,i+1} = 0
+    ("deleted"), f_{i+1,i+2} f_{i,i+1} = xi_i on a zero pair ("spurious")
+    or f_{i+1,i} f_{i,i+1} = xi_{i+1} ("redirected")."""
+    idx = label_index(algebra)
+    i = algebra.n // 2
+    up, unit = idx[f"f_{i}_{i + 1}"], idx[f"e_{i + 1}"]
+    mult = dict(algebra.mult)
+    if fault == "coefficient":
+        mult[unit, up] = ((up, 2),)
+    elif fault == "deleted":
+        del mult[unit, up]
+    elif fault == "spurious":
+        mult[idx[f"f_{i + 1}_{i + 2}"], up] = ((idx[f"xi_{i}"], 1),)
+    else:
+        mult[idx[f"f_{i + 1}_{i}"], up] = ((idx[f"xi_{i + 1}"], 1),)
+    return dataclasses.replace(algebra, mult=mult)
+
+
+@pytest.mark.parametrize("fault", ["coefficient", "deleted", "spurious", "redirected"])
+def test_certificate_catches_planted_faults_at_the_limit(fault):
+    # The certificate adds up only the nonzero entries and products, so a
+    # fault on a pair that has neither must still show.  Each fault breaks
+    # associativity itself, as the brute force shows on B(4).
+    assert associativity_violations(plant(build_bn(4), fault))
+    assert regular_representation_consistent(build_bn(BN_LIMIT))
+    assert not regular_representation_consistent(plant(build_bn(BN_LIMIT), fault))
 
 
 def test_regular_representation_matrices():

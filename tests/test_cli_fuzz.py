@@ -5,15 +5,24 @@ Each call must exit 0 or 1 within a few seconds, with no traceback and no
 m <= 2, n <= 3), so a slow call means a cost that some input reaches
 without being charged for it, such as a loop over every residue mod e at
 e = 10^20.  Other drawn integers are huge or negative, past every budget.
+
+The same draws, and a curated list of malformed command lines, must also
+write the same status, stdout and stderr as when the top-level parser
+reads the whole command line (`references.parse_through_top_level`).
 """
 
 import contextlib
 import io
 import signal
+from unittest import mock
 
+import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from akregime import cli
 from akregime.cli import run
+
+from references import parse_through_top_level
 
 ALARM_SECONDS = 4
 
@@ -139,3 +148,67 @@ def test_every_drawn_argv_exits_0_or_1_quickly(argv):
     text = err.getvalue()
     assert status in (0, 1), (argv, status, text)
     assert "Traceback" not in text and "internal:" not in text, (argv, text)
+
+
+def _outcomes(argv):
+    """(status, stdout, stderr) of `run(argv)` as it parses, then with the
+    top-level parser reading the whole command line.  Help exits through
+    SystemExit, whose code stands for the status."""
+    seen = []
+    for parse in (cli._parse, parse_through_top_level):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_parse", parse):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = run(argv, out)
+                except SystemExit as exc:
+                    status = ("exit", exc.code)
+        seen.append((status, out.getvalue(), err.getvalue()))
+    return seen
+
+
+POINT = ["--m", "2", "--n", "2", "--scheme", "e=0;class=0,0;shift=0,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["cla", *POINT],
+        ["-h"],
+        ["--format", "machine", "classify", *POINT],
+        ["--n", "2", "bn-algebra"],
+        ["classify", *POINT, "--form", "machine"],
+        ["classify", *POINT, "--format=bogus"],
+        ["classify", "--m=2", "--n=2", "--scheme=e=0;class=0,0;shift=0,1", "--format=machine"],
+        ["classify", *POINT, "--m"],
+        ["classify", "-h"],
+        ["sweep", "--grid", "m=1;n=2", "--help"],
+        ["classify", *POINT, "--grid", "m=2"],
+        ["bn-algebra", "--n", "2", "extra", "--m", "1"],
+        ["count-simples", *POINT, "--", "--format", "machine"],
+        ["audit", *POINT, "--n", "3", "--format", "machine"],
+    ],
+    ids=[
+        "no-verb", "unknown-verb", "verb-prefix", "help", "option-before-verb",
+        "n-before-verb", "abbreviated-option", "bad-choice", "equals-forms", "missing-value",
+        "help-after-verb", "help-after-options", "other-verbs-option", "leftover-positionals",
+        "double-dash", "repeated-option",
+    ],
+)
+def test_direct_verb_parsing_writes_the_top_level_bytes(argv):
+    direct, top_level = _outcomes(argv)
+    assert direct == top_level
+
+
+@settings(
+    derandomize=True,
+    max_examples=400,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate],
+)
+@given(argv())
+def test_every_drawn_argv_writes_the_top_level_bytes(argv):
+    direct, top_level = _outcomes(argv)
+    assert direct == top_level

@@ -33,7 +33,7 @@ from akregime.params import ParamScheme, parse_scheme, regime_relation, relation
 from akregime.simples import good_node, is_kleshchev, simple_count
 from akregime.structure import InconsistentRegimeError, classify_regime
 
-from references import oracle_simple_count, verify_lemmas
+from references import kleshchev_verdicts_per_label, oracle_simple_count, verify_lemmas
 
 REGIME_M2 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1))
 REGIME_M3 = ParamScheme(m=3, e=0, classes=(0, 1, 1), shifts=(0, 2, 0))
@@ -140,6 +140,46 @@ def test_bulk_verdicts_walk_each_class_group_apart(monkeypatch):
     bulk = _kernel.kleshchev_verdicts(scheme.e, scheme.classes, scheme.shifts, labels)
     assert bulk == [oracle_kleshchev(scheme, mp) for mp in labels]
     assert (sum(bulk), len(labels)) == (261, 429)
+
+
+def _multi_group_schemes(count, seed):
+    """Seeded (scheme, n) pairs with m <= 4 and two or more class groups of
+    any sizes, in any order, at e = 0, small e and e >= 2n - 1."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        m = rng.randint(2, 4)
+        classes = tuple(rng.randrange(m) for _ in range(m))
+        if len(set(classes)) < 2:
+            continue
+        n = rng.randint(1, 8 - m)
+        e = rng.choice((0, rng.randint(2, 5), rng.randint(2 * n - 1, 2 * n + 2)))
+        shifts = tuple(rng.randint(-2 * n, 2 * n) for _ in range(m))
+        made += 1
+        yield ParamScheme(m=m, e=e, classes=classes, shifts=shifts), n
+
+
+def test_group_wise_verdicts_make_the_per_label_walks(monkeypatch):
+    # The kernel decides one class group at a time, over the labels that
+    # the earlier groups found Kleshchev.  Each group's memo then sees the
+    # sub-labels it sees when the labels are decided one at a time, in the
+    # same order, so the verdicts and the good-node walks are the same
+    # ones; a pass that also decided the labels an earlier group refused
+    # would walk more.
+    walks = _count_calls(monkeypatch, pykernel, "_good_index")
+    points = [(scheme, n) for _, n, scheme in grid_points(SweepGrid()) if scheme.e != 1]
+    points += _multi_group_schemes(200, seed=27)
+    total = 0
+    for scheme, n in points:
+        args = scheme.e, scheme.classes, scheme.shifts, enumerate_multipartitions(scheme.m, n)
+        walks.clear()
+        expected = kleshchev_verdicts_per_label(*args)
+        expected_walks = len(walks)
+        walks.clear()
+        assert _kernel.kleshchev_verdicts(*args) == expected, (scheme, n)
+        assert len(walks) == expected_walks, (scheme, n)
+        total += expected_walks
+    assert total > 10_000, total
 
 
 def test_witness_path_makes_at_most_two_walks_per_step(monkeypatch):
