@@ -5,10 +5,10 @@ in `simples`.
 Class groups.  u_k = q^shift[k] * v_class[k] with the v_c independent, so a
 node of component k has residue (class[k], shift[k] + content), and two
 components of different classes never share a residue.  The kernel splits
-the components by class label (a class group, in first-seen order) and
-decides each group's sub-multipartition on its own, with the group's
-shifts.  Within a group every node has one class, so its residue is the int
-key shift + content, reduced mod e when e > 0.
+the components by class label with `params.class_groups` (a class group,
+in first-seen order) and decides each group's sub-multipartition on its
+own, with the group's shifts.  Within a group every node has one class,
+so its residue is the int key shift + content, reduced mod e when e > 0.
 
 Why a label is Kleshchev iff every group's sub-multipartition is.  The
 Kleshchev labels are those that descend to the empty multipartition by
@@ -50,13 +50,7 @@ after group, would meet them, so the walks are the same ones.
 
 from itertools import compress
 
-
-def _groups(classes):
-    """Component indices of each class label, in first-seen order."""
-    groups = {}
-    for k, cls in enumerate(classes):
-        groups.setdefault(cls, []).append(k)
-    return groups
+from ..params import class_groups
 
 
 def _good_index(e, shifts, mp):
@@ -91,7 +85,7 @@ def good_node(e, classes, shifts, mp, residue):
     """The good node of the given residue, as (component, row, column)
     1-based, or None.  Requires e != 1."""
     cls, exp = residue
-    group = _groups(classes).get(cls)
+    group = class_groups(classes).get(cls)
     if group is None:
         return None
     sub = tuple(mp[k] for k in group)
@@ -156,7 +150,7 @@ def kleshchev_verdicts(e, classes, shifts, mps):
     confined to this call, so concurrent callers never share state.
     Requires e != 1."""
     verdicts = [True] * len(mps)
-    for group in _groups(classes).values():
+    for group in class_groups(classes).values():
         # The labels still Kleshchev; `compress` reads each flag just
         # before its label is decided.
         alive = compress(range(len(mps)), verdicts)

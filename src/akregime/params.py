@@ -108,20 +108,29 @@ def relation_exponents(scheme: ParamScheme, i: int, j: int, bound: int) -> froze
     return frozenset(range(first, bound, scheme.e))
 
 
+def class_groups(classes) -> dict[int, list[int]]:
+    """The 0-based component indices of each class label, keyed in
+    first-seen order.  Components of different classes never share a
+    residue or a relation, so the kernel, `kleshchev_count` and `relations`
+    each work one group at a time."""
+    groups: dict[int, list[int]] = {}
+    for k, cls in enumerate(classes):
+        groups.setdefault(cls, []).append(k)
+    return groups
+
+
 def relations(scheme: ParamScheme, bound: int) -> list[tuple[int, int, int]]:
     """Every (i, j, c) with i < j, |c| < bound and u_j = q^c u_i, in
     (i, j, c) order.
 
-    Components of different classes never relate, so each i is paired only
-    with the later components of its own class group."""
-    groups: dict[int, list[int]] = {}
-    for i, cls in enumerate(scheme.classes, start=1):
-        groups.setdefault(cls, []).append(i)
+    Each i is paired only with the later components of its own class group
+    (`class_groups`), found by bisection, so the order needs no sort."""
+    groups = class_groups(scheme.classes)
     return [
-        (i, j, c)
-        for i, cls in enumerate(scheme.classes, start=1)
+        (i + 1, j + 1, c)
+        for i, cls in enumerate(scheme.classes)
         for j in groups[cls][bisect_right(groups[cls], i):]
-        for c in sorted(relation_exponents(scheme, j, i, bound))
+        for c in sorted(relation_exponents(scheme, j + 1, i + 1, bound))
     ]
 
 
@@ -187,18 +196,16 @@ def derive_r(k: KappaInput, witness: tuple[int, int]) -> int:
     """The positive integer r with dim L(chi) = r^n, from rational kappa data.
 
     For m = 1 the regime means kappa00 = r/n mod 1 with gcd(r, n) = 1, and r
-    is read off directly.  For m > 1, the witness (i, j) with
-    u_j = q^(n-1) u_i lifts to the integral condition
-
-        m*(kappa_Y - kappa_X) + (-1)^a * m*(n-1)*kappa00 = (X - Y) + m*t
-
-    over kappa-level indices X, Y in {(m-i+1) mod m, (m-j+1) mod m}; both
-    signs a and both orientations are searched, each branch determines t
-    exactly, and the first solution in (a, t) order with (X - Y) + m*t < 0
-    wins, giving r = (Y - X) - m*t.  The result satisfies r > 0 and, for
-    m > 1, m does not divide r: X != Y are residues mod m, so Y - X is not
-    a multiple of m.  For m > 1 the witness must name two distinct
-    components in 1..m.
+    is read off directly.  For m > 1 the witness (i, j) names two distinct
+    components in 1..m, and x = (m-i+1) mod m, y = (m-j+1) mod m are their
+    kappa-level indices.  With base = m*(kappa_x - kappa_y) and
+    step = m*(n-1)*kappa00, the relation u_j = q^(n-1) u_i holds iff
+    (r + x - y)/m is an integer at r = base - step, and u_j = q^-(n-1) u_i
+    iff it is one at r = base + step; the first direction that holds, read
+    in that order, gives r as |r|.  At a regime point only one of them
+    holds: both would give q^(2(n-1)) = 1, a second relation that
+    `regime_relation` rules out.  Either way r = y - x mod m, and x != y are
+    residues mod m, so m does not divide r and r != 0.
     """
     m, n = k.m, k.n
     if m == 1:
@@ -210,26 +217,14 @@ def derive_r(k: KappaInput, witness: tuple[int, int]) -> int:
     i, j = witness
     if not (1 <= i <= m and 1 <= j <= m and i != j):
         raise ValueError(f"witness {witness} must name two distinct components in 1..{m}")
-    big_i = (m - i + 1) % m
-    big_j = (m - j + 1) % m
-    kappa_i = k.kappa_entry(big_i)
-    kappa_j = k.kappa_entry(big_j)
-
-    solutions = []
-    for a in (0, 1):
-        sign = 1 if a == 0 else -1
-        for x, y, kx, ky in ((big_i, big_j, kappa_i, kappa_j),
-                             (big_j, big_i, kappa_j, kappa_i)):
-            lhs = m * (ky - kx) + sign * m * (n - 1) * k.kappa00
-            t, rem = divmod(lhs - (x - y), m)
-            if rem != 0:
-                continue
-            t = int(t)
-            if (x - y) + m * t < 0:
-                solutions.append((a, t, (y - x) - m * t))
-    if not solutions:
-        raise NoWitnessError("no-witness")
-    return min(solutions)[2]
+    x = (m - i + 1) % m
+    y = (m - j + 1) % m
+    base = m * (k.kappa_entry(x) - k.kappa_entry(y))
+    step = m * (n - 1) * k.kappa00
+    for r in (base - step, base + step):
+        if (r + x - y) % m == 0:
+            return abs(int(r))
+    raise NoWitnessError("no-witness")
 
 
 class SchemeParseError(ValueError):

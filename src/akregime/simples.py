@@ -2,10 +2,11 @@
 
 For q != 1 the nonzero simple quotients D^lambda are indexed by Kleshchev
 multipartitions (reachable from the empty multipartition by good-node
-additions); for q = 1 they are the multipartitions with lambda^(s) empty for
-every pair s < t with u_s = u_t.  Verdicts are computed by the kernel in
-`_kernel`; witness paths are reconstructed here by replaying good-node
-removals against kernel verdicts.
+additions); for q = 1, where u_s = u_t iff s and t share a class label,
+they are the multipartitions whose components are all empty but the last
+of each class group (`params.class_groups`).  Verdicts are computed by the
+kernel in `_kernel`; witness paths are reconstructed here by replaying
+good-node removals against kernel verdicts.
 
 `kleshchev_count` counts the simple modules without listing a label.  For
 q != 1 the Kleshchev multipartitions of n index a basis of the weight
@@ -23,7 +24,7 @@ result as a product over the positive roots alpha,
 in which only roots with h <= n and c > 0 touch the coefficient of t^n.
 Class groups never share a residue, so their series multiply (see
 `_kernel.pykernel`); at q = 1 the count is that of d-multipartitions, d the
-number of distinct class labels.
+number of class groups.
 """
 
 from collections import Counter
@@ -41,7 +42,7 @@ from .combinatorics import (
     remove_node,
     removable_nodes,
 )
-from .params import ParamScheme, Residue, relations, residue_of
+from .params import ParamScheme, Residue, class_groups, relations, residue_of
 
 
 @dataclass(frozen=True)
@@ -85,22 +86,18 @@ def is_kleshchev(scheme: ParamScheme, mp: Multipartition) -> KleshchevVerdict:
     return KleshchevVerdict(mp, True, tuple(path))
 
 
-def _q_is_one_simple(scheme: ParamScheme, mp: Multipartition) -> bool:
-    # q = 1: shifts collapse, so u_s = u_t iff the class labels agree.
-    for s in range(scheme.m):
-        if not mp[s]:
-            continue
-        for t in range(s + 1, scheme.m):
-            if scheme.classes[s] == scheme.classes[t]:
-                return False
-    return True
-
-
 def simple_verdicts(scheme: ParamScheme, mps) -> list[bool]:
     """Whether D^lambda != 0, for each label: the q = 1 criterion at e = 1,
     else the kernel's Kleshchev verdicts."""
     if scheme.e == 1:
-        return [_q_is_one_simple(scheme, mp) for mp in mps]
+        # u_s = u_t iff the class labels agree, so a label is simple iff
+        # every component but the last of its class group is empty: one
+        # pass over the labels per such component.
+        verdicts = [True] * len(mps)
+        for group in class_groups(scheme.classes).values():
+            for k in group[:-1]:
+                verdicts = [ok and not mp[k] for ok, mp in zip(verdicts, mps)]
+        return verdicts
     return _kernel.kleshchev_verdicts(scheme.e, scheme.classes, scheme.shifts, mps)
 
 
@@ -156,19 +153,21 @@ def kleshchev_count(scheme: ParamScheme, n: int) -> int:
     """Number of nonzero D^lambda of H_n, from the principal specialization
     of L(Lambda) (see the module docstring), without listing a label.
 
-    Each class group's series is kept in a bounded cache, keyed on e, the
-    group's shifts less its first component's shift (reduced mod e), and n;
-    the count is the t^n coefficient of the product of the groups' series.
+    The class groups are those of `params.class_groups`, as in the kernel.
+    Each group's series is kept in a bounded cache, keyed on e, the group's
+    shifts less its first component's shift (reduced mod e), and n; the
+    count is the t^n coefficient of the product of the groups' series.  At
+    q = 1 it is the number of d-multipartitions of n, d the number of
+    groups.
     """
-    groups: dict[int, list[int]] = {}
-    for cls, shift in zip(scheme.classes, scheme.shifts):
-        groups.setdefault(cls, []).append(shift)
+    groups = class_groups(scheme.classes)
     e = scheme.e
     if e == 1:
         return multipartition_count(len(groups), n)
     series = None
-    for shifts in groups.values():
-        offsets = (s - shifts[0] for s in shifts)
+    for group in groups.values():
+        first = scheme.shifts[group[0]]
+        offsets = (scheme.shifts[k] - first for k in group)
         factor = _group_series(e, tuple(sorted(x % e if e else x for x in offsets)), n)
         series = factor if series is None else [
             sum(series[i] * factor[t - i] for i in range(t + 1)) for t in range(n + 1)

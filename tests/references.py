@@ -23,6 +23,9 @@
 - `parse_through_top_level`: the command line read by the top-level
   parser alone, which hands the verb's arguments to the verb's parser;
   the route that `cli._parse` is compared with.
+- `derive_r_by_search`: r searched over both signs of n - 1 and both
+  orientations of the witness, the route that `params.derive_r`, which
+  reads the witness's direction, is compared with.
 """
 
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ from akregime.bn import BasicAlgebra, Combination
 from akregime.cli import build_parser
 from akregime.combinatorics import Multipartition, enumerate_multipartitions
 from akregime.oracle import _label_verdicts, _residue
-from akregime.params import ParamScheme, part_content, relations
+from akregime.params import KappaInput, NoWitnessError, ParamScheme, part_content, relations
 
 
 def oracle_simple_count(scheme: ParamScheme, n: int) -> int:
@@ -196,8 +199,47 @@ def kleshchev_verdicts_per_label(e, classes, shifts, mps):
         memo = {((),) * len(group): True}
         return lambda mp: pykernel._verdict(e, group_shifts, tuple(mp[k] for k in group), memo)
 
-    deciders = [decider(group) for group in pykernel._groups(classes).values()]
+    # Grouped here, not by `params.class_groups`, so that a fault in that
+    # split shows as a difference between the two routes.
+    groups = {}
+    for k, cls in enumerate(classes):
+        groups.setdefault(cls, []).append(k)
+    deciders = [decider(group) for group in groups.values()]
     return [all(decide(mp) for decide in deciders) for mp in mps]
+
+
+# ---------------------------------------------------------------------------
+# r by a search over signs and orientations.
+
+def derive_r_by_search(k: KappaInput, witness: tuple[int, int]) -> int:
+    """r for m > 1 from the integral condition
+
+        m*(kappa_Y - kappa_X) + (-1)^a * m*(n-1)*kappa00 = (X - Y) + m*t
+
+    over kappa-level indices X, Y in {(m-i+1) mod m, (m-j+1) mod m}: both
+    signs a and both orientations are searched, each branch determines t
+    exactly, and the first solution in (a, t) order with (X - Y) + m*t < 0
+    wins, giving r = (Y - X) - m*t."""
+    m, n = k.m, k.n
+    i, j = witness
+    big_i = (m - i + 1) % m
+    big_j = (m - j + 1) % m
+    kappa_i = k.kappa_entry(big_i)
+    kappa_j = k.kappa_entry(big_j)
+    solutions = []
+    for a in (0, 1):
+        sign = 1 if a == 0 else -1
+        for x, y, kx, ky in ((big_i, big_j, kappa_i, kappa_j), (big_j, big_i, kappa_j, kappa_i)):
+            lhs = m * (ky - kx) + sign * m * (n - 1) * k.kappa00
+            t, rem = divmod(lhs - (x - y), m)
+            if rem != 0:
+                continue
+            t = int(t)
+            if (x - y) + m * t < 0:
+                solutions.append((a, t, (y - x) - m * t))
+    if not solutions:
+        raise NoWitnessError("no-witness")
+    return min(solutions)[2]
 
 
 # ---------------------------------------------------------------------------

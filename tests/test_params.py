@@ -14,14 +14,17 @@ from akregime.params import (
     ParamScheme,
     Residue,
     SchemeParseError,
+    class_groups,
     derive_r,
     parse_kappa,
     parse_scheme,
+    regime_relation,
     relation_exponents,
     relations,
     residue_of,
     scheme_from_kappa,
 )
+from references import derive_r_by_search
 
 
 class ZLModel:
@@ -125,6 +128,13 @@ def test_relation_exponents_match_window_scan(e):
             window = range(-bound + 1, bound)
             scan = {c for c in window if (c - diff) % e == 0} if e else {diff} & set(window)
             assert relation_exponents(scheme, 1, 2, bound) == scan, (e, a, b, bound)
+
+
+def test_class_groups_keep_first_seen_order():
+    # Keys in the order their label first appears, indices ascending; the
+    # kernel's passes and the walks it makes follow that order.
+    groups = class_groups((1, 0, 1, 2))
+    assert list(groups.items()) == [(1, [0, 2]), (0, [1]), (2, [3])]
 
 
 def test_relations_equal_the_all_pairs_scan():
@@ -241,6 +251,42 @@ def test_derive_r_m3():
     kappa = KappaInput(m=3, n=3, kappa00=Fraction(1, 5), kappa=(Fraction(11, 15), Fraction(0)))
     r = derive_r(kappa, (3, 2))
     assert r > 0 and r % 3 != 0
+
+
+def _regime_kappa_points():
+    """Every regime point with kappa entries in [0, 1) of denominator <= 8,
+    at m in {2, 3} and n in {2, 3, 4}, with its witness pair."""
+    fractions = sorted({Fraction(a, b) for b in range(1, 9) for a in range(b)})
+    for m in (2, 3):
+        for n in (2, 3, 4):
+            for kappa00 in fractions:
+                for entries in product(fractions, repeat=m - 1):
+                    kappa = KappaInput(m=m, n=n, kappa00=kappa00, kappa=entries)
+                    witness = regime_relation(scheme_from_kappa(kappa), n)
+                    if witness is not None:
+                        yield kappa, witness[:2]
+
+
+def test_derive_r_equals_the_search_at_regime_points():
+    # Exactly one direction holds at a regime point, so reading it gives
+    # the search's r, with the witness in either order.  Checking only that
+    # r is an integer, not that m divides r + x - y, differs at 161 points.
+    points = 0
+    for kappa, (i, j) in _regime_kappa_points():
+        for witness in ((i, j), (j, i)):
+            assert derive_r(kappa, witness) == derive_r_by_search(kappa, witness), (kappa, witness)
+        points += 1
+    assert points == 776
+
+
+def test_derive_r_reads_u_j_over_u_i_equal_to_q_to_n_minus_1_first():
+    # q has order 4 = 2(n - 1), so u_2 = q^(n-1) u_1 and u_2 = q^-(n-1) u_1
+    # both hold, with r = 3 and r = 1; no regime point has both.
+    kappa = KappaInput(m=2, n=3, kappa00=Fraction(1, 4), kappa=(Fraction(1),))
+    assert {2, -2} <= relation_exponents(scheme_from_kappa(kappa), 2, 1, 3)
+    assert derive_r(kappa, (1, 2)) == 3
+    # Reversing the witness reverses the directions.
+    assert derive_r(kappa, (2, 1)) == 1
 
 
 def test_derive_r_no_solution():

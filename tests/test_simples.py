@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from akregime import _kernel, simples
+from akregime import _kernel, oracle, simples
 from akregime._kernel import pykernel
 from akregime.combinatorics import (
     enumerate_multipartitions,
@@ -20,6 +20,7 @@ from akregime.simples import (
     is_kleshchev,
     kleshchev_count,
     simple_count,
+    simple_verdicts,
 )
 
 REGIME_M2 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1))
@@ -246,6 +247,32 @@ def test_kleshchev_count_matches_the_kernel_on_seeded_schemes():
         count = simple_count(scheme, n)[0]
         assert kleshchev_count(scheme, n) == count, (scheme, n)
         kinds.add(count == multipartition_count(m, n))
+    assert kinds == {True, False}
+
+
+# The largest n drawn for each m at q = 1 keeps every point under 100 labels.
+Q_ONE_N = {1: 8, 2: 5, 3: 4, 4: 3, 5: 3, 6: 2}
+
+
+def test_q_one_rule_matches_the_oracle_on_seeded_schemes():
+    # At q = 1 a label is simple iff every component but the last of its
+    # class group is empty; the oracle's pair loop decides it apart.  m
+    # runs past the default grid's m <= 3, and up to 3 class labels let a
+    # group hold any of the components.
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, Q_ONE_N[m])
+        labels = rng.randint(1, 3)
+        scheme = ParamScheme(
+            m=m, e=1, classes=tuple(rng.randrange(labels) for _ in range(m)), shifts=(0,) * m
+        )
+        mps = enumerate_multipartitions(m, n)
+        verdicts = simple_verdicts(scheme, mps)
+        assert verdicts == [oracle._q1_nonzero(scheme, mp) for mp in mps], (scheme, n)
+        assert sum(verdicts) == kleshchev_count(scheme, n), (scheme, n)
+        kinds.add(all(verdicts))
     assert kinds == {True, False}
 
 

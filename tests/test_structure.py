@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from akregime import _kernel, simples, structure
+from akregime import _kernel, structure
 from akregime.cli import run
 from akregime.combinatorics import (
     dim_irrep,
@@ -331,7 +331,8 @@ def test_order_one_below_bound_is_not_regime():
 # replaced so that it reports N - 1 simple modules where the point's
 # parameters cannot produce that count ("count"), or the verdict on the
 # forced label is replaced so that it calls that label simple: the kernel
-# ("kernel") or, at q = 1, the q = 1 criterion ("q-one").
+# ("kernel") or, at q = 1, `simple_verdicts` as `structure` reads it
+# ("q-one").
 
 BROKEN_REGIME = {
     "m2-no-relation": (
@@ -372,7 +373,7 @@ def _break(monkeypatch, how):
             _kernel, "kleshchev_verdicts", lambda e, classes, shifts, mps: [True] * len(mps)
         )
     else:
-        monkeypatch.setattr(simples, "_q_is_one_simple", lambda scheme, mp: True)
+        monkeypatch.setattr(structure, "simple_verdicts", lambda scheme, mps: [True] * len(mps))
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_REGIME))
