@@ -14,7 +14,7 @@ from functools import cache
 from itertools import chain
 
 from .combinatorics import Multipartition, enumerate_multipartitions
-from .params import ParamScheme, Residue, part_content, relation_exponents
+from .params import ParamScheme, Residue, forced_label, part_content, relation_exponents
 
 ContentMultiset = tuple[Residue, ...]
 
@@ -44,13 +44,13 @@ def content(scheme: ParamScheme, mp: Multipartition) -> ContentMultiset:
 def block_partition(scheme: ParamScheme, n: int) -> BlockPartition:
     """Group all multipartitions of n by content.
 
-    Blocks are ordered by first appearance in the canonical enumeration;
-    exceptional_index points at the first block of size n + 1 >= 2, if any.
-    That is the exceptional block at m >= 2 regime points.  At m = 1 regime
-    points the exceptional block has n labels at e = n (the hooks) and
-    n - 1 at e = n - 1 ((4), (2,2) and (1,1,1,1) at n = 4, e = 3), so
-    exceptional_index is None there.  Finding the m = 1 block is open
-    (ROADMAP.md, item 2).
+    Blocks are ordered by first appearance in the canonical enumeration.
+    exceptional_index is the index of the block that holds
+    `params.forced_label`'s label at a point that passes the parameter-side
+    regime test, and None elsewhere.  At m >= 2 that block is the lambda
+    family (n + 1 labels); at m = 1 it is the block of (n), with e labels:
+    the n hooks at e = n, and n - 1 labels at e = n - 1 ((4), (2,2) and
+    (1,1,1,1) at n = 4, e = 3).
     """
     if scheme.e == 1:
         raise QOneBlocksError("q=1 blocks unsupported")
@@ -79,12 +79,10 @@ def block_partition(scheme: ParamScheme, n: int) -> BlockPartition:
     for mp in enumerate_multipartitions(scheme.m, n):
         by_content.setdefault(sum(map(code, components, mp)), []).append(mp)
     blocks = tuple(tuple(group) for group in by_content.values())
+    forced = forced_label(scheme, n)
     exceptional = None
-    if n >= 1:
-        for idx, block in enumerate(blocks):
-            if len(block) == n + 1:
-                exceptional = idx
-                break
+    if forced is not None:
+        exceptional = list(by_content).index(sum(map(code, components, forced[1])))
     return BlockPartition(blocks=blocks, exceptional_index=exceptional)
 
 

@@ -55,9 +55,9 @@ does `structure.classify_regime`:
   content 0 with component i's residue at content c.  The windows
   therefore show every relation with |c| <= 2n, which covers the scan's
   |c| < n;
-- the m = 1 branch reads e only as e = n or e = n - 1.  Each of these is
-  at most 2n, so the pattern's period fixes it, and e = 1 is a flag in the
-  pattern.
+- at m = 1, `params.forced_label` reads e only as e = n or e = n - 1.
+  Each of these is at most 2n, so the pattern's period fixes it, and
+  e = 1 is a flag in the pattern.
 
 So `regime_locus` runs the three routes once per residue pattern of the
 grid, and only the parameter-side predictor at every point.
@@ -68,7 +68,7 @@ from itertools import chain, product
 
 from . import simples, structure
 from .combinatorics import Multipartition, enumerate_multipartitions
-from .params import ParamScheme, m1_regime_order, regime_relation
+from .params import ParamScheme, forced_label
 from .structure import ALMOST_SEMISIMPLE, OTHER, SEMISIMPLE
 
 
@@ -338,20 +338,16 @@ def grid_points(grid: SweepGrid):
 
 
 def _predicted_regime(scheme: ParamScheme, n: int) -> bool:
-    """The parameter-side characterization of the regime: for m >= 2 a
-    unique relation u_j = q^(+-(n-1)) u_i with q != 1, [n]_q! != 0, order
-    infinite or >= 2n-1 and the u_i pairwise distinct; for m = 1, n >= 2
-    and order n or n - 1 (the row of n boxes is then the unique
-    non-restricted partition).  The unique relation implies the other
-    conditions (see `params.regime_relation`), so it is all that is tested.
+    """The parameter-side characterization of the regime: whether
+    `params.forced_label` names a label.  For m >= 2 that is a unique
+    relation u_j = q^(+-(n-1)) u_i, which implies the other conditions
+    (see there); for m = 1 it is order n or n - 1 >= 2.
 
     At n = 1 the algebra is commutative and its simple modules are counted
     by the distinct u_i, whatever q is: for m >= 2 the unique relation
     (then c = 0, one coincidence u_i = u_j) is the whole condition, and
     m = 1 is never in the regime."""
-    if scheme.m == 1:
-        return m1_regime_order(scheme.e, n)
-    return regime_relation(scheme, n) is not None
+    return forced_label(scheme, n) is not None
 
 
 def _residue_pattern(scheme: ParamScheme, n: int) -> tuple:

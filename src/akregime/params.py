@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinatorics import Node, Partition
+from .combinatorics import Multipartition, Node, Partition
 
 
 class Residue(NamedTuple):
@@ -134,27 +134,35 @@ def relations(scheme: ParamScheme, bound: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def regime_relation(scheme: ParamScheme, n: int) -> tuple[int, int, int] | None:
-    """The parameter side of the almost-semisimple regime for m >= 2: the
-    one relation (i, j, c) of `relations(scheme, n)` when there is exactly
-    one and it has |c| = n - 1, else None.
+def forced_label(
+    scheme: ParamScheme, n: int
+) -> tuple[tuple[int, int, int] | None, Multipartition] | None:
+    """(witness, label) at a point that passes the parameter-side test of
+    the almost-semisimple regime, else None: the label is the one the
+    parameters force to be not simple.
 
-    That uniqueness already implies q != 1, [n]_q! != 0, order infinite or
-    >= 2n - 1 and pairwise distinct u_i, so none of them is tested apart:
-    at a finite order e <= 2n - 2 the relation c comes with c -+ e, at e = 1
-    every c in (-n, n) is a relation, and for n > 1 a relation c = 0 would
-    be a second one."""
+    At m = 1 the test is that q has order n, or order n - 1 >= 2.  Exactly
+    the row (n) then has a part gap >= n - 1, so it is the label, the one
+    non-restricted partition (the count is p(n) - 1); there is no witness.
+
+    At m >= 2 the witness is the one relation (i, j, c) of
+    `relations(scheme, n)`, and it must have |c| = n - 1.  That uniqueness
+    already implies q != 1, [n]_q! != 0, order infinite or >= 2n - 1 and
+    pairwise distinct u_i, so none of them is tested apart: at a finite
+    order e <= 2n - 2 the relation c comes with c -+ e, at e = 1 every c in
+    (-n, n) is a relation, and for n > 1 a relation c = 0 would be a second
+    one.  The label is the row of n boxes in component i for c >= 0 (the
+    addable partner of its last node sits in component j, below it), and
+    the column of n boxes there for c < 0."""
+    if scheme.m == 1:
+        return (None, ((n,),)) if scheme.e >= 2 and scheme.e in (n, n - 1) else None
     found = relations(scheme, n)
     if len(found) != 1 or abs(found[0][2]) != n - 1:
         return None
-    return found[0]
-
-
-def m1_regime_order(e: int, n: int) -> bool:
-    """The regime for m = 1: q has order n, or order n - 1 >= 2.  Exactly
-    the row (n) then has a part gap >= n - 1, so it is the one
-    non-restricted partition and the count is p(n) - 1."""
-    return n >= 2 and (e == n or (e == n - 1 and e >= 2))
+    i, _, c = witness = found[0]
+    label: list[Partition] = [()] * scheme.m
+    label[i - 1] = (n,) if c >= 0 else (1,) * n
+    return witness, tuple(label)
 
 
 def scheme_from_kappa(k: KappaInput) -> ParamScheme:
@@ -204,7 +212,7 @@ def derive_r(k: KappaInput, witness: tuple[int, int]) -> int:
     iff it is one at r = base + step; the first direction that holds, read
     in that order, gives r as |r|.  At a regime point only one of them
     holds: both would give q^(2(n-1)) = 1, a second relation that
-    `regime_relation` rules out.  Either way r = y - x mod m, and x != y are
+    `forced_label` rules out.  Either way r = y - x mod m, and x != y are
     residues mod m, so m does not divide r and r != 0.
     """
     m, n = k.m, k.n

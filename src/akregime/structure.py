@@ -21,11 +21,11 @@ The forced label costs one single-label kernel call (the q = 1 criterion
 at e = 1).  Exactly one label is missing from the count, so a forced label
 that is not simple is the one non-simple label.
 
-The parameter-side tests are `params.regime_relation` (m >= 2) and
-`params.m1_regime_order` (m = 1); the former's docstring says why q != 1,
-[n]_q! != 0, the order bound 2n - 1 and pairwise distinct u_i are not
-checked apart.  Any failure raises InconsistentRegimeError: an internal
-inconsistency, never data.
+The parameter-side test is `params.forced_label`, which gives the witness
+and the forced label; its docstring says why q != 1, [n]_q! != 0, the
+order bound 2n - 1 and pairwise distinct u_i are not checked apart.
+block_structure orders the lambda family by that label.  Any failure
+raises InconsistentRegimeError: an internal inconsistency, never data.
 
 hecke_dimension_audit lists no label outside the exceptional block (the
 singletons give |W| less its squared dimensions), so what can fail is the
@@ -39,9 +39,9 @@ to which standard module.
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .blocks import lambda_family
+from .blocks import BadWitnessError, lambda_family
 from .combinatorics import Multipartition, dim_irrep, multipartition_count
-from .params import KappaInput, ParamScheme, derive_r, m1_regime_order, regime_relation, relations
+from .params import KappaInput, ParamScheme, derive_r, forced_label, relations
 from .simples import kleshchev_count, simple_verdicts
 
 SEMISIMPLE = "semisimple"
@@ -94,20 +94,6 @@ class BlockStructure:
         return self.kz_dims
 
 
-def non_kleshchev_label(m: int, n: int, witness: tuple[int, int, int]) -> Multipartition:
-    """The unique non-Kleshchev multipartition forced by the normalized
-    witness (i, j, c), i < j, u_j = q^c u_i, |c| = n - 1.
-
-    For c >= 0 it is the row of n boxes in component i (the addable partner
-    of its last node sits in component j, below it); for c < 0 it is the
-    column of n boxes in component i.
-    """
-    i, _, c = witness
-    label: list[tuple[int, ...]] = [()] * m
-    label[i - 1] = (n,) if c >= 0 else (1,) * n
-    return tuple(label)
-
-
 def family_orientation(witness: tuple[int, int, int]) -> tuple[int, int]:
     """The (i, j) ordering with u_j = q^(n-1) u_i, as lambda_family expects:
     rows grow in component i, columns in component j."""
@@ -141,21 +127,15 @@ def classify_regime(
     if kind != ALMOST_SEMISIMPLE:
         return RegimeReport(scheme.m, n, kind, count, total)
 
-    if scheme.m == 1:
-        if not m1_regime_order(scheme.e, n):
-            raise InconsistentRegimeError(
-                f"inconsistent-regime: m=1 count N-1 with order {scheme.e}"
-            )
-        witness = None
-        expected = ((n,),)
-    else:
-        witness = regime_relation(scheme, n)
-        if witness is None:
-            raise InconsistentRegimeError(
-                f"inconsistent-regime: relations {relations(scheme, n)} "
-                "not a unique +-(n-1) relation"
-            )
-        expected = non_kleshchev_label(scheme.m, n, witness)
+    forced = forced_label(scheme, n)
+    if forced is None:
+        raise InconsistentRegimeError(
+            f"inconsistent-regime: m=1 count N-1 with order {scheme.e}"
+            if scheme.m == 1
+            else f"inconsistent-regime: relations {relations(scheme, n)} "
+            "not a unique +-(n-1) relation"
+        )
+    witness, expected = forced
     if simple_verdicts(scheme, [expected])[0]:
         raise InconsistentRegimeError(
             f"inconsistent-regime: m={scheme.m} count N-1 but the forced label {expected} is simple"
@@ -196,26 +176,39 @@ def _block_matrices(size: int) -> tuple[Matrix, Matrix, tuple[int, ...]]:
     return decomposition, cartan, kz_dimensions(size)
 
 
+def _specht_order(report: RegimeReport, scheme: ParamScheme, n: int) -> tuple[Multipartition, ...]:
+    """The witness's lambda family, ordered so the forced label comes last."""
+    try:
+        family = lambda_family(scheme, n, family_orientation(report.witness))
+    except BadWitnessError:
+        family = ()
+    for order in (family, family[::-1]):
+        if order and order[-1] == report.non_kleshchev:
+            return order
+    raise InconsistentRegimeError(
+        f"inconsistent-regime: no lambda family of witness {report.witness} "
+        f"ends in the forced label {report.non_kleshchev}"
+    )
+
+
 def block_structure(report: RegimeReport, scheme: ParamScheme, n: int) -> BlockStructure:
     """Block-level matrices of the unique non-semisimple block.
 
     Rows of the decomposition matrix follow specht_order, which is the
-    lambda family arranged so the non-Kleshchev member comes last; columns
-    follow its n Kleshchev members.  For m = 1 no lambda family exists and
-    the label orders are None; the matrices are the same
-    parameter-independent data.  The projective Hom table is the Cartan
-    matrix and the P_KZ multiplicities are the KZ dimensions.
+    lambda family arranged so the forced label (report.non_kleshchev) comes
+    last; columns follow its n Kleshchev members.  A family that cannot be
+    built, or whose ends are both other labels, raises
+    InconsistentRegimeError.  For m = 1 no lambda family exists and the
+    label orders are None; the matrices are the same parameter-independent
+    data.  The projective Hom table is the Cartan matrix and the P_KZ
+    multiplicities are the KZ dimensions.
     """
     if report.kind != ALMOST_SEMISIMPLE:
         raise ValueError("block structure exists only in the almost-semisimple regime")
-    specht_order = None
-    if scheme.m >= 2:
-        family = lambda_family(scheme, n, family_orientation(report.witness))
-        specht_order = family if report.witness[2] >= 0 else tuple(reversed(family))
     decomposition, cartan, kz = _block_matrices(n)
     return BlockStructure(
         n=n,
-        specht_order=specht_order,
+        specht_order=_specht_order(report, scheme, n) if scheme.m >= 2 else None,
         decomposition=decomposition,
         cartan=cartan,
         kz_dims=kz,

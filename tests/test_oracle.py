@@ -29,7 +29,7 @@ from akregime.oracle import (
     oracle_kleshchev,
     regime_locus,
 )
-from akregime.params import ParamScheme, parse_scheme, regime_relation, relation_exponents
+from akregime.params import ParamScheme, forced_label, parse_scheme, relation_exponents
 from akregime.simples import good_node, is_kleshchev, simple_count
 from akregime.structure import InconsistentRegimeError, classify_regime
 
@@ -511,28 +511,42 @@ def test_locus_small_grid_no_disagreements():
 
 def test_exceptional_block_matches_family_across_sweep(default_sweep_rows):
     # Content grouping and the structural prediction are independent routes;
-    # on every swept regime point they must agree: the lambda family is the
-    # one non-singleton block and everything else is alone in its block.
+    # on every swept regime point they must agree: at m >= 2 the lambda
+    # family is the one non-singleton block, at m = 1 the block of (n) has
+    # e labels (the n hooks at e = n), and everything else is alone in its
+    # block.  Off the regime no block is exceptional.
     from akregime.blocks import block_partition, lambda_family
     from akregime.combinatorics import multipartition_count
     from akregime.structure import family_orientation
 
-    checked = 0
+    checked = Counter()
     for row in default_sweep_rows["rows"]:
-        if row.fast_kind != ALMOST_SEMISIMPLE or row.m == 1:
+        if row.scheme.e == 1:  # no blocks at q = 1
+            continue
+        partition = block_partition(row.scheme, row.n)
+        if row.fast_kind != ALMOST_SEMISIMPLE:
+            assert partition.exceptional_index is None, row
+            checked["off"] += 1
             continue
         report = classify_regime(row.scheme, row.n)
-        family = lambda_family(row.scheme, row.n, family_orientation(report.witness))
-        partition = block_partition(row.scheme, row.n)
-        assert partition.exceptional_index is not None
         exceptional = partition.blocks[partition.exceptional_index]
-        assert set(exceptional) == set(family)
-        assert len(partition.blocks) == multipartition_count(row.m, row.n) - row.n
+        assert report.non_kleshchev in exceptional
+        if row.m == 1:
+            assert len(exceptional) == row.scheme.e, row
+            if row.scheme.e == row.n:
+                hooks = {((row.n - k,) + (1,) * k,) for k in range(row.n)}
+                assert set(exceptional) == hooks
+            checked["m1"] += 1
+        else:
+            family = lambda_family(row.scheme, row.n, family_orientation(report.witness))
+            assert set(exceptional) == set(family)
+            checked["m2+"] += 1
+        size = multipartition_count(row.m, row.n) - len(exceptional) + 1
+        assert len(partition.blocks) == size
         for idx, block in enumerate(partition.blocks):
             if idx != partition.exceptional_index:
                 assert len(block) == 1
-        checked += 1
-    assert checked > 0
+    assert checked["m1"] == 5 and checked["m2+"] > 0 and checked["off"] > 0, checked
 
 
 def test_locus_regime_rows_match_fast_classification():
@@ -589,7 +603,7 @@ def test_fast_path_depends_only_on_residue_pattern():
     # regime_locus runs classify_regime once per pattern too and reuses its
     # kind, so schemes sharing a pattern must get the same report, or both
     # raise.  A relation scan over |c| <= 2n + 1 (bound 2 * n + 2 passed to
-    # relations in params.regime_relation) reads the shifts beyond
+    # relations in params.forced_label) reads the shifts beyond
     # what the -n..n windows show and fails here (19 mismatches); a scan
     # over |c| <= n + 1 does not, since the windows see every relation with
     # |c| <= 2n.
@@ -760,7 +774,7 @@ def test_planted_formula_count_shows_as_a_disagreement(monkeypatch):
 
 
 def test_unique_relation_implies_the_other_regime_facts():
-    # params.regime_relation tests only for a unique relation with
+    # params.forced_label tests m >= 2 only for a unique relation with
     # |c| = n - 1; its docstring argues that this implies q != 1, the order
     # bound (hence [n]_q! != 0), c != 0 and pairwise distinct u_i.  Here
     # each implied fact is checked at every n >= 2 point of the grid that it
@@ -770,9 +784,10 @@ def test_unique_relation_implies_the_other_regime_facts():
     for n in range(2, 6):
         grid = SweepGrid(m_values=(2, 3), n_values=(n,), e_values=tuple(range(2 * n + 4)))
         for m, _, scheme in grid_points(grid):
-            witness = regime_relation(scheme, n)
-            if witness is None:
+            forced = forced_label(scheme, n)
+            if forced is None:
                 continue
+            witness = forced[0]
             accepted += 1
             e = scheme.e
             distinct = not any(

@@ -16,9 +16,9 @@ from akregime.params import (
     SchemeParseError,
     class_groups,
     derive_r,
+    forced_label,
     parse_kappa,
     parse_scheme,
-    regime_relation,
     relation_exponents,
     relations,
     residue_of,
@@ -262,9 +262,9 @@ def _regime_kappa_points():
             for kappa00 in fractions:
                 for entries in product(fractions, repeat=m - 1):
                     kappa = KappaInput(m=m, n=n, kappa00=kappa00, kappa=entries)
-                    witness = regime_relation(scheme_from_kappa(kappa), n)
-                    if witness is not None:
-                        yield kappa, witness[:2]
+                    forced = forced_label(scheme_from_kappa(kappa), n)
+                    if forced is not None:
+                        yield kappa, forced[0][:2]
 
 
 def test_derive_r_equals_the_search_at_regime_points():

@@ -14,7 +14,7 @@ from akregime.combinatorics import (
     multipartition_count,
     partitions,
 )
-from akregime.params import KappaInput, ParamScheme, scheme_from_kappa
+from akregime.params import KappaInput, ParamScheme, forced_label, scheme_from_kappa
 from akregime.structure import (
     ALMOST_SEMISIMPLE,
     OTHER,
@@ -24,7 +24,6 @@ from akregime.structure import (
     classify_regime,
     hecke_dimension_audit,
     kz_dimensions,
-    non_kleshchev_label,
 )
 
 REGIME_M2 = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 1))
@@ -98,8 +97,16 @@ def test_classify_n1_coincident_pair():
 
 
 def test_non_kleshchev_label_orientations():
-    assert non_kleshchev_label(2, 3, (1, 2, 2)) == ((3,), ())
-    assert non_kleshchev_label(2, 3, (1, 2, -2)) == ((1, 1, 1), ())
+    # u_2 = q^2 u_1 forces the row of 3 in component 1, u_2 = q^-2 u_1 the
+    # column; at m = 1 the row (n) is forced at order n and n - 1 only.
+    row = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(0, 2))
+    column = ParamScheme(m=2, e=0, classes=(0, 0), shifts=(2, 0))
+    assert forced_label(row, 3) == ((1, 2, 2), ((3,), ()))
+    assert forced_label(column, 3) == ((1, 2, -2), ((1, 1, 1), ()))
+    for e in (4, 3):
+        assert forced_label(ParamScheme(m=1, e=e, classes=(0,), shifts=(0,)), 4) == (None, ((4,),))
+    assert forced_label(ParamScheme(m=1, e=2, classes=(0,), shifts=(0,)), 4) is None
+    assert forced_label(ParamScheme(m=2, e=1, classes=(0, 0), shifts=(0, 0)), 2) is None
 
 
 # --- kappa-driven reports -----------------------------------------------------
@@ -390,5 +397,23 @@ def test_inconsistent_regime_exits_2(case, monkeypatch, capsys):
     scheme, n, how, _ = BROKEN_REGIME[case]
     _break(monkeypatch, how)
     argv = ["classify", "--m", str(scheme.m), "--n", str(n), "--scheme", scheme.describe()]
+    assert run(argv, io.StringIO()) == 2
+    assert "inconsistent-regime" in capsys.readouterr().err
+
+
+# block_structure orders the lambda family by the forced label, so a forced
+# label at neither end of the family, or a wrong orientation, is caught.
+
+@pytest.mark.parametrize("scheme, n", [(REGIME_M2, 2), (REGIME_M3, 3)], ids=["m2", "m3"])
+def test_block_structure_checks_the_family_orientation(scheme, n, monkeypatch, capsys):
+    report = classify_regime(scheme, n)
+    middle = block_structure(report, scheme, n).specht_order[1]
+    with pytest.raises(InconsistentRegimeError, match="ends in the forced label"):
+        block_structure(dataclasses.replace(report, non_kleshchev=middle), scheme, n)
+    orientation = structure.family_orientation
+    monkeypatch.setattr(structure, "family_orientation", lambda witness: orientation(witness)[::-1])
+    with pytest.raises(InconsistentRegimeError, match="ends in the forced label"):
+        block_structure(report, scheme, n)
+    argv = ["block-structure", "--m", str(scheme.m), "--n", str(n), "--scheme", scheme.describe()]
     assert run(argv, io.StringIO()) == 2
     assert "inconsistent-regime" in capsys.readouterr().err
